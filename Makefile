@@ -18,7 +18,9 @@
 # front-end); `make bench-serving` sweeps the network tier's offered
 # load with SERVE_CLIENTS concurrent connections — against the single
 # daemon and a 2-replica DaemonRouter (SERVE_REPLICAS) — and writes the
-# latency/saturation rows to BENCH_serving.json; `make docs-sync`
+# latency/saturation rows to BENCH_serving.json; `make perfbench-smoke`
+# runs the benchmark harness's smoke check (perfbench/run.py --smoke);
+# `make docs-sync`
 # asserts docs/PROTOCOL.md + docs/ARCHITECTURE.md against the source
 # constants and docs/ENVIRONMENT.md against ENV_CATALOG (the CI
 # docs-sync job); `make check-chaos`
@@ -69,7 +71,7 @@ CHAOS_TIMEOUT ?= 600
 CHAOS_TESTS := tests/test_runtime_faults.py tests/test_runtime_chaos.py
 TIMEOUT_BIN := $(shell command -v timeout 2>/dev/null)
 
-.PHONY: test bench bench-serving bench-smoke lint lint-static check check-runtime check-chaos coverage docs-sync
+.PHONY: test bench bench-serving bench-smoke perfbench-smoke lint lint-static check check-runtime check-chaos coverage docs-sync
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q $(PYTEST_FLAGS)
@@ -118,6 +120,14 @@ bench:
 # BENCH_kernels.json trajectory. Machine-independent (ratio-based).
 bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_smoke.py
+
+# The benchmark harness's own smoke run (~20 s): its metric arithmetic
+# plus short traced burst-serial and wire-trickle runs, bit-checked.
+# The wire run goes through ServingDaemon.try_submit and reads the
+# DaemonStats keys, so a daemon change that breaks the harness fails
+# here instead of at the next benchmark run.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --smoke
 
 # Network serving latency/throughput sweep: N concurrent clients drive
 # the asyncio front-end over the framed wire protocol (in-process

@@ -3,9 +3,11 @@
 
 The runtime's :class:`~repro.runtime.daemon.ServingDaemon` is the
 long-lived successor to the batch-at-once ``Serving`` front-end: a
-bounded request queue, one consumer loop, and a deadline-based
-coalescing window. Requests that arrive within the window are merged
-into one execution *wave* — concatenated activations, appended shard
+bounded request queue, a two-stage consumer pipeline, and
+work-conserving coalescing. An idle daemon dispatches a request at
+once, with whatever else is already queued; while a wave runs,
+arrivals wait (at most the coalescing window) and are merged into the
+next execution *wave* — concatenated activations, appended shard
 plans — while every request keeps its own shard boundaries and seeds,
 so coalesced logits are **bit-identical** to running the same requests
 uncoalesced through a serial ``Session``. This example:

@@ -1026,7 +1026,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         dest="window_ms",
-        help="daemon batch-coalescing window (milliseconds)",
+        help="longest a request waits to share a wave while one is "
+        "running (milliseconds); an idle daemon dispatches at once",
     )
     p.add_argument(
         "--json",
@@ -1120,7 +1121,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         dest="window_ms",
-        help="daemon batch-coalescing window (milliseconds)",
+        help="longest a request waits to share a wave while one is "
+        "running (milliseconds); an idle daemon dispatches at once",
     )
     _add_server_policy_args(p)
     p.set_defaults(func=_cmd_serve)

@@ -264,7 +264,11 @@ class NetworkServer:
                 conn, last_request_id, protocol.ERR_PROTOCOL, str(exc)
             )
         except asyncio.CancelledError:
-            raise
+            # aclose() cancels live connections to tear them down. The
+            # handler must then end normally: asyncio's stream callback
+            # reports a *cancelled* handler task as an unhandled error.
+            if not self._closing:
+                raise
         finally:
             conn.closed = True
             conn.outbox.put_nowait(_CLOSE)

@@ -1,20 +1,26 @@
-"""Long-lived queued serving with deadline-based batch coalescing.
+"""Long-lived queued serving with work-conserving batch coalescing.
 
 :class:`ServingDaemon` is the runtime's serving loop: a bounded request
-queue, a two-stage consumer pipeline, and a coalescing window. Requests
-that arrive within ``coalesce_window_s`` of each other are merged into
-one **wave** — their activation buffers concatenated, their shard plans
-appended — and executed in a single sweep through the scheduler, which
-amortizes lock round-trips, pool submissions, and pipeline warmup
-across requests (the single biggest lever for the RNG-bound stochastic
-path, per the kernel benchmarks).
+queue, a two-stage consumer pipeline, and a coalescing window. Queued
+requests are merged into one **wave** — their activation buffers
+concatenated, their shard plans appended — and executed in a single
+sweep through the scheduler, which amortizes lock round-trips, pool
+submissions, and pipeline warmup across requests (the single biggest
+lever for the RNG-bound stochastic path, per the kernel benchmarks).
+
+Coalescing is work-conserving: when the executor is idle, a wave leaves
+at once with whatever is already queued — a lone request never waits
+for company. Only while a wave is outstanding (handed off or executing)
+does the next wave stay open to collect arrivals, until the executor
+goes idle or ``coalesce_window_s`` passes, whichever comes first.
 
 The pipeline has two consumer threads: the **assembler** pulls queued
 requests, coalesces them into waves, and draws every request's shard
 plan (and therefore its seeds) in arrival order; the **executor** pulls
 planned waves from a small bounded handoff queue and runs them. Wave
-*k + 1* therefore assembles while wave *k* executes, hiding coalescing
-and planning latency behind execution. The split cannot perturb
+*k + 1* therefore collects its requests while wave *k* executes (and,
+if the window closes first, is planned and handed off before wave *k*
+finishes). The split cannot perturb
 results: all generator draws happen on the assembler in arrival order
 (exactly the serial draw sequence), and the handoff queue is FIFO, so
 execution order matches assembly order.
@@ -74,7 +80,9 @@ from repro.utils.rng import SeedLike, new_rng
 #: circular import (the daemon is below the api facade).
 _INHERIT = object()
 
-#: Assembler -> executor handoff sentinel: no more waves are coming.
+#: Stop sentinel. :meth:`ServingDaemon.close` queues it behind every
+#: accepted request to wake the assembler, which passes it on to the
+#: executor after the last wave: no more waves are coming.
 _SENTINEL = object()
 
 
@@ -184,11 +192,12 @@ class ServingDaemon:
         and re-executes serially — bit-identical, with the recovery
         recorded in :attr:`DaemonStats.recovery`.
     coalesce_window_s:
-        How long the consumer waits for follow-up requests after the
-        first of a wave. 0 still coalesces whatever is already queued.
+        The longest a request waits to share a wave while a wave is
+        running. With the executor idle a wave leaves at once; 0 never
+        waits but still coalesces whatever is already queued.
     max_wave_images:
-        Image-count ceiling per wave (the window closes early once
-        reached).
+        Image-count ceiling per wave (a first request that already
+        reaches it leaves without waiting).
     scheduler:
         An in-process runtime scheduler name or instance the waves
         execute through — pass ``"adaptive"`` so each *coalesced wave's*
@@ -307,6 +316,10 @@ class ServingDaemon:
         # planned waves — wave k+1 assembles while wave k executes. A
         # small handoff bound keeps planning at most two waves ahead.
         self._handoff: "queue.Queue" = queue.Queue(maxsize=2)
+        # Waves handed off and not yet executed; the assembler holds a
+        # wave open only while this is above 0 (work-conserving).
+        self._outstanding = 0
+        self._idle = threading.Condition()
         self._assembler = threading.Thread(
             target=self._supervise,
             args=(self._assemble_loop,),
@@ -513,6 +526,7 @@ class ServingDaemon:
             except BaseException as exc:
                 self._abort = True
                 self._abort_queued(exc)
+                self._wake_assembler()
                 raise
 
     def _abort_queued(self, exc: BaseException) -> None:
@@ -534,39 +548,56 @@ class ServingDaemon:
                             ),
                         )
 
+    def _wake_assembler(self) -> None:
+        """Queue the stop sentinel behind every accepted request. It skips
+        the admission bound, so waking the assembler never blocks."""
+        with self._queue.mutex:
+            self._queue.queue.append(_SENTINEL)
+            self._queue.not_empty.notify()
+
     # -- stage 1: assembler --------------------------------------------
     def _assemble_loop(self) -> None:
         """Coalesce queued requests into waves, draw their plans in
-        arrival order, and hand the planned waves to the executor."""
-        while not self._abort:
+        arrival order, and hand the planned waves to the executor.
+
+        Work-conserving: with the executor idle a wave leaves at once
+        with whatever is already queued; while a wave is outstanding it
+        stays open until the executor goes idle or the coalesce window
+        passes."""
+        closing = False
+        while not closing and not self._abort:
             faults.fault_point("daemon.consumer")
-            try:
-                first = self._queue.get(timeout=0.02)
-            except queue.Empty:
-                if self._closing:
-                    break
-                continue
+            first = self._queue.get()
+            if first is _SENTINEL:
+                break
             wave = [first]
             rows = first.images.shape[0]
-            deadline = time.monotonic() + self.coalesce_window_s
+            if rows < self.max_wave_images:
+                with self._idle:
+                    self._idle.wait_for(
+                        lambda: self._outstanding == 0,
+                        timeout=self.coalesce_window_s,
+                    )
             while rows < self.max_wave_images:
-                remaining = deadline - time.monotonic()
                 try:
-                    if remaining > 0:
-                        item = self._queue.get(timeout=remaining)
-                    else:
-                        item = self._queue.get_nowait()
+                    item = self._queue.get_nowait()
                 except queue.Empty:
+                    break
+                if item is _SENTINEL:
+                    closing = True
                     break
                 wave.append(item)
                 rows += item.images.shape[0]
             self._plan_and_hand_off(wave)
-        # Drain or fail whatever is still queued after the stop signal.
+        # Drain or fail whatever is still queued after the stop signal
+        # (submissions that raced close() past its sentinel).
         while not self._abort:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:
                 break
+            if item is _SENTINEL:
+                continue
             if self._drain:
                 self._plan_and_hand_off([item])
             else:
@@ -589,14 +620,20 @@ class ServingDaemon:
     def _hand_off(self, ready) -> None:
         """Blocking put into the bounded handoff queue, with an escape
         hatch: if the executor has aborted for good, fail the wave
-        instead of blocking forever."""
+        instead of blocking forever. A wave counts as outstanding from
+        here until the executor has run it."""
+        wave = isinstance(ready, list)
+        if wave:
+            with self._idle:
+                self._outstanding += 1
         while True:
             try:
                 self._handoff.put(ready, timeout=0.1)
                 return
             except queue.Full:
                 if self._abort:
-                    if isinstance(ready, list):
+                    if wave:
+                        self._wave_done()
                         for item in ready:
                             self._fail(
                                 item,
@@ -605,6 +642,14 @@ class ServingDaemon:
                                 ),
                             )
                     return
+
+    def _wave_done(self) -> None:
+        """One outstanding wave is finished; wake the assembler when the
+        executor goes idle."""
+        with self._idle:
+            self._outstanding -= 1
+            if self._outstanding == 0:
+                self._idle.notify_all()
 
     # -- stage 2: executor ---------------------------------------------
     def _execute_loop(self) -> None:
@@ -622,7 +667,10 @@ class ServingDaemon:
                 continue
             if ready is _SENTINEL:
                 return
-            self._guarded_execute(ready)
+            try:
+                self._guarded_execute(ready)
+            finally:
+                self._wave_done()
 
     def _guarded_execute(self, ready: List[_Request]) -> None:
         try:
@@ -946,6 +994,7 @@ class ServingDaemon:
             return
         self._drain = drain
         self._closing = True
+        self._wake_assembler()
         self._assembler.join(timeout=timeout)
         self._executor.join(timeout=timeout)
         if (

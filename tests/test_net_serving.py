@@ -572,6 +572,36 @@ class TestDisconnectContainment:
             )
         np.testing.assert_array_equal(got.logits, want.logits)
 
+    def test_close_with_client_attached_leaves_no_loop_error(
+        self, small_engine, request_data
+    ):
+        """Closing the server while a client is still connected cancels
+        that connection's handler; the cancellation must end cleanly
+        instead of reaching the event loop's exception handler."""
+        from repro.net import DaemonRouter
+
+        images, _ = request_data
+        loop_errors = []
+        router = DaemonRouter.build(
+            [small_engine, small_engine], seed=0, coalesce_window_s=0.01
+        )
+        thread = ServerThread(router)
+        try:
+            host, port = thread.start()
+            thread._loop.set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            client = NetworkClient(host, port)
+            try:
+                client.infer(images[:8], seed=3)
+                thread.close()  # the client is still attached
+            finally:
+                client.close()
+        finally:
+            thread.close()
+            router.close(drain=True)
+        assert loop_errors == []
+
     def test_server_stats_snapshot_counts(self, small_engine, request_data):
         images, _ = request_data
         with serving_stack(small_engine) as (host, port, thread):

@@ -3,6 +3,7 @@ override, bit-identity to serial on every chooser outcome, daemon wave
 decisions, and the pool-worker environment-cap validation."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -369,7 +370,7 @@ class TestDaemonAdaptive:
                 seed=11,
                 seed_per_request=True,
                 micro_batch=4,
-                coalesce_window_s=0.25,
+                coalesce_window_s=5.0,
                 scheduler=scheduler,
             ) as daemon:
                 single = daemon.submit(images[:8]).result(timeout=60)
@@ -381,9 +382,25 @@ class TestDaemonAdaptive:
                     "serial",
                 ]
                 requests = [images[i * 8 : (i + 1) * 8] for i in range(5)]
-                results = daemon.run_many(requests)
-                stats = daemon.stats
-                assert stats.mode_waves.get("shard-parallel", 0) >= 1
+                # The burst's first request leaves alone (idle executor)
+                # and runs serial, blocked on the held execution lock; the
+                # other four coalesce behind it into one wide wave.
+                executing = threading.Event()
+                with tiled_engine._exec_lock:
+                    futures = [
+                        daemon.submit(
+                            requests[0],
+                            progress=lambda stage, _: stage == "executing"
+                            and executing.set(),
+                        )
+                    ]
+                    assert executing.wait(timeout=30)
+                    futures += [daemon.submit(r) for r in requests[1:]]
+                results = [f.result(timeout=60) for f in futures]
+                burst = daemon.stats
+                assert burst.waves - stats.waves <= 2
+                assert burst.coalesced_requests >= len(requests) - 1
+                assert burst.mode_waves.get("shard-parallel", 0) >= 1
 
         # Bit-identity: replay the per-request child-seeded sessions.
         gen = new_rng(11)

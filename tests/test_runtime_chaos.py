@@ -215,25 +215,38 @@ class TestDeadlines:
 class TestDaemonFaultHandling:
     def test_poisoned_request_is_isolated(self, small_engine, request_data):
         """A poisoned payload fails its own future with the fatal error
-        untouched; its neighbour's logits are bit-identical to the same
-        two-request sequence run unfaulted."""
-        requests = [request_data[:16], request_data[16:24]]
+        untouched; its wave neighbours' logits are bit-identical to the
+        same request sequence run unfaulted."""
+        requests = [
+            request_data[16:24],
+            request_data[:16],  # the only 16-row request: poisoned
+            request_data[24:32],
+            request_data[32:40],
+        ]
         reference = Session(small_engine, seed=31).run_many(requests)
         plan = FaultPlan(
             [FaultSpec(site="daemon.request", action="poison", match={"rows": 16})]
         )
         with fault_injection(plan):
             with ServingDaemon(
-                small_engine, seed=31, coalesce_window_s=0.2
+                small_engine, seed=31, coalesce_window_s=5.0
             ) as daemon:
-                poisoned = daemon.submit(requests[0])
-                healthy = daemon.submit(requests[1])
+                # Holding the execution lock blocks the first wave, so
+                # the burst forms at most one more: the poisoned request
+                # is assembled together with at least one neighbour.
+                with small_engine._exec_lock:
+                    futures = [daemon.submit(r) for r in requests]
                 with pytest.raises(PoisonedPayload):
-                    poisoned.result(timeout=60)
-                neighbour = healthy.result(timeout=60)
+                    futures[1].result(timeout=60)
+                neighbours = [futures[i].result(timeout=60) for i in (0, 2, 3)]
                 stats = daemon.stats
-        np.testing.assert_array_equal(neighbour.logits, reference[1].logits)
-        assert stats.failed == 1 and stats.completed == 1
+        for got, index in zip(neighbours, (0, 2, 3)):
+            np.testing.assert_array_equal(got.logits, reference[index].logits)
+        assert stats.failed == 1 and stats.completed == 3
+        # The poisoned request never joins a planned wave, so at least
+        # two of the three healthy requests are counted as coalesced.
+        assert stats.waves <= 2
+        assert stats.coalesced_requests >= 2
 
     def test_admission_reject_sheds_load_at_the_door(
         self, small_engine, request_data

@@ -2,6 +2,7 @@
 shutdown semantics, and Session lifecycle guarantees."""
 
 import queue
+import threading
 import time
 
 import numpy as np
@@ -59,6 +60,29 @@ def _requests(images, labels):
     )
 
 
+def _submit_executing(daemon, images):
+    """Submit one request and return its future once its wave is in the
+    executor (the ``executing`` progress stage has fired)."""
+    executing = threading.Event()
+
+    def progress(stage, _detail):
+        if stage == "executing":
+            executing.set()
+
+    future = daemon.submit(images, progress=progress)
+    assert executing.wait(timeout=10), "the first wave never reached the executor"
+    return future
+
+
+def _assert_coalesced(stats, n):
+    """An n-request burst submitted while holding the engine's execution
+    lock: the first wave leaves at once and blocks on the lock, the rest
+    wait for it — at most two waves, every request but possibly the
+    first coalesced, with no race against the window."""
+    assert stats.waves <= 2, stats
+    assert stats.coalesced_requests >= n - 1, stats
+
+
 class TestCoalescingBitIdentity:
     """Acceptance: coalesced daemon logits are bit-identical to the same
     requests run uncoalesced through a serial Session."""
@@ -70,16 +94,16 @@ class TestCoalescingBitIdentity:
             requests, labels=request_labels
         )
         with ServingDaemon(
-            small_engine, seed=42, coalesce_window_s=0.1
+            small_engine, seed=42, coalesce_window_s=5.0
         ) as daemon:
-            futures = [
-                daemon.submit(r, labels=l)
-                for r, l in zip(requests, request_labels)
-            ]
-            results = [f.result() for f in futures]
+            with small_engine._exec_lock:
+                futures = [
+                    daemon.submit(r, labels=l)
+                    for r, l in zip(requests, request_labels)
+                ]
+            results = [f.result(timeout=30) for f in futures]
             stats = daemon.stats
-        assert stats.waves < len(requests), "burst must actually coalesce"
-        assert stats.coalesced_requests > 0
+        _assert_coalesced(stats, len(requests))
         for got, want in zip(results, reference):
             np.testing.assert_array_equal(got.logits, want.logits)
             assert got.accuracy == want.accuracy
@@ -131,6 +155,62 @@ class TestCoalescingBitIdentity:
         np.testing.assert_array_equal(got.logits, want.logits)
 
 
+class TestWorkConservingCoalescing:
+    """The coalesce window only applies while a wave is outstanding: an
+    idle executor takes a wave at once, and a wave going idle ends the
+    wait of the next one."""
+
+    def test_idle_executor_dispatches_at_once(self, small_engine, request_data):
+        images, _ = request_data
+        want = Session(small_engine, seed=13).run(images[:8])
+        with ServingDaemon(small_engine, seed=13, coalesce_window_s=5.0) as daemon:
+            start = time.monotonic()
+            got = daemon.submit(images[:8]).result(timeout=30)
+            elapsed = time.monotonic() - start
+        assert elapsed < 1.0, f"a lone request waited {elapsed:.2f}s"
+        np.testing.assert_array_equal(got.logits, want.logits)
+
+    def test_executor_going_idle_ends_the_wait(self, small_engine, request_data):
+        images, _ = request_data
+        requests = [images[i * 8 : (i + 1) * 8] for i in range(5)]
+        reference = Session(small_engine, seed=17).run_many(requests)
+        with ServingDaemon(small_engine, seed=17, coalesce_window_s=30.0) as daemon:
+            with small_engine._exec_lock:
+                futures = [_submit_executing(daemon, requests[0])]
+                futures += [daemon.submit(r) for r in requests[1:]]
+            start = time.monotonic()
+            results = [f.result(timeout=30) for f in futures]
+            elapsed = time.monotonic() - start
+            stats = daemon.stats
+        assert elapsed < 5.0, f"the follow-up wave waited {elapsed:.2f}s"
+        assert stats.waves == 2
+        assert stats.coalesced_requests == 4
+        for got, want in zip(results, reference):
+            np.testing.assert_array_equal(got.logits, want.logits)
+
+    def test_window_caps_the_wait_while_busy(self, small_engine, request_data):
+        images, _ = request_data
+        requests = [images[i * 8 : (i + 1) * 8] for i in range(3)]
+        reference = Session(small_engine, seed=19).run_many(requests)
+        with ServingDaemon(small_engine, seed=19, coalesce_window_s=0.05) as daemon:
+            with small_engine._exec_lock:
+                futures = [_submit_executing(daemon, requests[0])]
+                futures += [daemon.submit(r) for r in requests[1:]]
+                deadline = time.monotonic() + 0.5
+                while (
+                    daemon.queue_depth or daemon.stats.waves < 2
+                ) and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                # The window closed the second wave with the first one
+                # still blocked in the executor.
+                assert daemon.queue_depth == 0
+                assert daemon.stats.waves == 2
+                assert not futures[0].done()
+            results = [f.result(timeout=30) for f in futures]
+        for got, want in zip(results, reference):
+            np.testing.assert_array_equal(got.logits, want.logits)
+
+
 class TestServingEdgeCases:
     def test_zero_request_run_many(self, small_engine):
         with ServingDaemon(small_engine, seed=0) as daemon:
@@ -154,10 +234,13 @@ class TestServingEdgeCases:
             ref_session.run(np.full((4, 9), 0.5))
         ref_tail = ref_session.run(images[8:16])
         reference = [ref_good, ref_tail]
-        with ServingDaemon(small_engine, seed=5, coalesce_window_s=0.2) as daemon:
-            good = daemon.submit(images[:8])
-            bad = daemon.submit(np.full((4, 9), 0.5))  # wrong fan-in
-            tail = daemon.submit(images[8:16])
+        with ServingDaemon(small_engine, seed=5, coalesce_window_s=5.0) as daemon:
+            # The bad request shares its wave with at least one neighbour
+            # in every possible split of this burst into two waves.
+            with small_engine._exec_lock:
+                good = daemon.submit(images[:8])
+                bad = daemon.submit(np.full((4, 9), 0.5))  # wrong fan-in
+                tail = daemon.submit(images[8:16])
             with pytest.raises(ValueError):
                 bad.result(timeout=30)
             np.testing.assert_array_equal(
@@ -167,6 +250,7 @@ class TestServingEdgeCases:
                 tail.result(timeout=30).logits, reference[1].logits
             )
             stats = daemon.stats
+        _assert_coalesced(stats, 3)
         assert stats.failed == 1
         assert stats.completed == 2
         # the daemon still serves after the failure
