@@ -32,8 +32,8 @@
 # the tier-1 tests under pytest-cov (skips gracefully when the plugin
 # is absent — CI wires it in as a non-blocking report step); `make
 # bench` times the simulation kernels — including the serial vs
-# stochastic-parallel vs adaptive-scheduler session rows and the
-# serving/daemon rows — appends the results to BENCH_kernels.json (the
+# shard-parallel-scheduler vs adaptive-scheduler session rows and the
+# daemon serving rows — appends the results to BENCH_kernels.json (the
 # cross-PR perf trajectory), and refreshes the calibrated cost-model
 # coefficients in benchmarks/results/; `make lint` is a fast
 # syntax/bytecode sweep covering src (incl. the runtime/ package),

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.api import Engine
-from repro.api.parallel import StochasticParallelBackend
 from repro.autograd import Tensor
 from repro.autograd import functional as F
 from repro.circuits.apc import ApproximateParallelCounter
@@ -22,6 +21,7 @@ from repro.hardware.accelerator import TiledLinearLayer
 from repro.hardware.config import HardwareConfig
 from repro.hardware.crossbar import CrossbarArray
 from repro.mapping.compiler import CompiledNetwork, HeadStage, LinearStage, SignStage
+from repro.runtime import ShardParallelScheduler
 from repro.sc.packed import pack_bits
 
 
@@ -146,7 +146,7 @@ def test_perf_binary_conv2d(benchmark, pm):
 
 
 # ----------------------------------------------------------------------
-# Session-level shard execution: serial vs the "stochastic-parallel"
+# Session-level shard execution: serial vs the ShardParallelScheduler
 # process pool. One VGG-eval-sized batch (256 images) split into
 # micro-batch shards; same seed everywhere, so every row computes
 # bit-identical logits and the timings compare pure execution strategy.
@@ -176,8 +176,8 @@ def shard_engine(pm):
     return engine, images
 
 
-def _bench_session(benchmark, engine, images, backend, rounds=9):
-    session = engine.session(seed=0, backend=backend)
+def _bench_session(benchmark, engine, images, backend, rounds=9, scheduler=None):
+    session = engine.session(seed=0, backend=backend, scheduler=scheduler)
     result = session.run(images)  # warm path (and worker pool) once
     benchmark.pedantic(session.run, args=(images,), rounds=rounds, iterations=1)
     return result
@@ -239,8 +239,10 @@ def test_perf_session_serial_batched(benchmark, shard_engine):
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_perf_session_parallel_shards(benchmark, shard_engine, workers):
     engine, images = shard_engine
-    with StochasticParallelBackend(workers=workers) as backend:
-        result = _bench_session(benchmark, engine, images, backend)
+    with ShardParallelScheduler(workers=workers) as scheduler:
+        result = _bench_session(
+            benchmark, engine, images, "stochastic", scheduler=scheduler
+        )
     assert result.logits.shape == (256, 10)
     assert result.micro_batches == 8
 
@@ -315,32 +317,15 @@ def test_perf_cost_model_calibration(benchmark, shard_engine, request):
 
 
 # ----------------------------------------------------------------------
-# Serving front-ends: the PR 3 thread-pool `Serving` baseline vs the
-# runtime's coalescing `ServingDaemon`, both at 4 workers on the
-# in-process "stochastic" backend over the same 8 x 32-row requests.
-# The daemon merges the burst into coalesced waves (one execution sweep,
-# no thread handoff per request), so its throughput should meet or beat
-# the thread-pool baseline — the rows in BENCH_kernels.json track that
-# claim across PRs.
+# Serving: the runtime's coalescing `ServingDaemon` on the in-process
+# "stochastic" backend over 8 x 32-row requests. The daemon merges the
+# burst into coalesced waves (one execution sweep, no thread handoff
+# per request); the rows in BENCH_kernels.json track it across PRs.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def serving_requests(shard_engine):
     _, images = shard_engine
     return [images[i * 32 : (i + 1) * 32] for i in range(8)]
-
-
-def test_perf_serving_threadpool(benchmark, shard_engine, serving_requests):
-    from repro.api import Serving
-
-    engine, _ = shard_engine
-    with Serving(engine, workers=4, backend="stochastic", seed=0) as front:
-        front.serve(serving_requests)  # warm
-        benchmark.pedantic(
-            front.serve, args=(serving_requests,), rounds=9, iterations=1
-        )
-        report = front.serve(serving_requests)
-    assert report.n_requests == 8
-    assert report.total_images == 256
 
 
 def test_perf_daemon_coalesced(benchmark, shard_engine, serving_requests):

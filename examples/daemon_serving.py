@@ -2,8 +2,8 @@
 """Queued serving daemon walkthrough: submission, coalescing, shutdown.
 
 The runtime's :class:`~repro.runtime.daemon.ServingDaemon` is the
-long-lived successor to the batch-at-once ``Serving`` front-end: a
-bounded request queue, a two-stage consumer pipeline, and
+long-lived serving loop: a bounded request queue, a two-stage consumer
+pipeline, and
 work-conserving coalescing. An idle daemon dispatches a request at
 once, with whatever else is already queued; while a wave runs,
 arrivals wait (at most the coalescing window) and are merged into the

@@ -1,20 +1,19 @@
 #!/usr/bin/env python
-"""Parallel execution & concurrent serving walkthrough.
+"""Parallel execution & pooled serving walkthrough.
 
 The stochastic crossbar inference is embarrassingly parallel — every
 micro-batch shard is an independent sample-and-count — so the Engine's
 shard plan maps straight onto a process pool. This example:
 
 1. trains a small randomized MLP (same recipe as ``quickstart.py``),
-2. runs one batched request serially and on the
-   ``stochastic-parallel`` backend with several worker counts,
+2. runs one batched request serially and on a
+   ``ShardParallelScheduler`` pool with several worker counts,
    verifying the logits are **bit-identical** for the same session
    seed (per-shard child seeding makes worker count irrelevant),
-3. stands up a ``Serving`` front-end — bounded concurrent requests
-   over one shared worker pool — and prints its throughput report.
+3. serves a batch of requests through a ``ServingDaemon`` whose waves
+   run on one shared worker pool, and prints its throughput report.
 
-For the queued, batch-coalescing successor to ``Serving`` (bounded
-request queue, deadline windows, per-wave amortization), see
+For the daemon's queueing, coalescing and shutdown semantics, see
 ``examples/daemon_serving.py``.
 
 Run:  python examples/parallel_serving.py
@@ -23,9 +22,9 @@ Run:  python examples/parallel_serving.py
 import numpy as np
 
 from repro import HardwareConfig, Mlp, Trainer, TrainingConfig
-from repro.api import Engine, Serving
-from repro.api.parallel import StochasticParallelBackend
+from repro.api import Engine, ServingDaemon
 from repro.data import DataLoader, make_mnist_like
+from repro.runtime import ShardParallelScheduler
 
 
 def main() -> None:
@@ -48,8 +47,8 @@ def main() -> None:
         f"accuracy={serial.accuracy:.3f}, {serial.wall_time_s * 1e3:.1f} ms"
     )
     for workers in (1, 2, 4):
-        with StochasticParallelBackend(workers=workers) as backend:
-            with engine.session(seed=7, backend=backend) as session:
+        with ShardParallelScheduler(workers=workers) as scheduler:
+            with engine.session(seed=7, scheduler=scheduler) as session:
                 parallel = session.run(images, labels=labels)
         identical = np.array_equal(parallel.logits, serial.logits)
         print(
@@ -59,16 +58,18 @@ def main() -> None:
             f"bit-identical to serial: {identical}"
         )
 
-    # 3. Concurrent serving over one shared pool ----------------------
+    # 3. Daemon serving over one shared pool --------------------------
     rng = np.random.default_rng(0)
     requests, request_labels = [], []
     for _ in range(8):
         idx = rng.integers(0, len(images), size=48)
         requests.append(images[idx])
         request_labels.append(labels[idx])
-    with StochasticParallelBackend(workers=4) as backend:
-        with Serving(engine, workers=4, backend=backend, seed=0) as front:
-            report = front.serve(requests, labels=request_labels)
+    with ShardParallelScheduler(workers=4) as scheduler:
+        with ServingDaemon(
+            engine, scheduler=scheduler, seed=0, seed_per_request=True
+        ) as daemon:
+            report = daemon.serve(requests, labels=request_labels)
     print(f"\nserving: {report}")
     for key, value in report.summary().items():
         print(f"  {key:>14}: {value}")

@@ -57,10 +57,8 @@ from repro.api import (
     Engine,
     EngineBuilder,
     InferenceResult,
-    Serving,
     ServingReport,
     Session,
-    StochasticParallelBackend,
     available_backends,
     register_backend,
 )
@@ -92,9 +90,7 @@ __all__ = [
     "Engine",
     "EngineBuilder",
     "Session",
-    "Serving",
     "ServingReport",
-    "StochasticParallelBackend",
     "InferenceResult",
     "register_backend",
     "available_backends",

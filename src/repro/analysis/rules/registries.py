@@ -6,9 +6,10 @@ plug-in seams — which means a class missing its protocol method fails
 only when a request first routes to it, potentially deep inside a
 worker pool. This rule moves that failure to lint time:
 
-- a class under ``@register_backend(...)`` must provide ``run_layer``
-  (layer-level strategy) or ``run_plan``/``run_shards`` (shard-level
-  strategy), directly or through a base class resolvable in the tree;
+- a class under ``@register_backend(...)`` must provide ``run_layer``,
+  directly or through a base class resolvable in the tree — and only
+  that: a backend defining ``run_shards`` or ``run_plan`` is flagged,
+  because *where* shards run is a scheduler concern, never a backend's;
 - a class under ``@register_scheduler(...)`` must provide
   ``run_shards`` (the one method the scheduler registry documents);
 - protocol flags (``deterministic``, ``stateless``,
@@ -38,10 +39,10 @@ from repro.analysis.core import (
     register_rule,
 )
 
-#: decorator name -> (registry label, accepted protocol method sets)
+#: decorator name -> (registry label, required method, forbidden methods)
 CONTRACTS = {
-    "register_backend": ("backend", ({"run_layer"}, {"run_plan"}, {"run_shards"})),
-    "register_scheduler": ("scheduler", ({"run_shards"},)),
+    "register_backend": ("backend", "run_layer", ("run_plan", "run_shards")),
+    "register_scheduler": ("scheduler", "run_shards", ()),
 }
 
 _BOOL_FLAGS = ("deterministic", "stateless", "needs_task_graph", "requires_seeds")
@@ -64,10 +65,10 @@ class RegistryContractRule(Rule):
                 if registration is None:
                     continue
                 decorator, reg_call = registration
-                label, method_sets = CONTRACTS[decorator]
+                label, required, forbidden = CONTRACTS[decorator]
                 yield from self._check_key(f, node, reg_call, label)
                 yield from self._check_methods(
-                    f, node, label, method_sets, class_index
+                    f, node, label, required, forbidden, class_index
                 )
                 yield from self._check_flags(f, node, label)
 
@@ -101,24 +102,35 @@ class RegistryContractRule(Rule):
         f,
         node: ast.ClassDef,
         label: str,
-        method_sets: Tuple[Set[str], ...],
+        required: str,
+        forbidden: Tuple[str, ...],
         class_index: Dict[str, List],
     ):
         provided = self._methods_of(node, class_index, depth=0)
-        if not any(wanted <= provided for wanted in method_sets):
-            accepted = " or ".join(
-                "/".join(sorted(wanted)) for wanted in method_sets
-            )
+        if required not in provided:
             yield Finding(
                 rule=self.name,
                 severity="error",
                 path=f.rel,
                 line=node.lineno,
                 message=f"registered {label} {node.name} implements none of "
-                f"the protocol methods ({accepted})",
+                f"the protocol methods ({required})",
                 hint="implement the method (or inherit it from a base class "
                 "defined in this tree)",
             )
+        for method in forbidden:
+            if method in provided:
+                yield Finding(
+                    rule=self.name,
+                    severity="error",
+                    path=f.rel,
+                    line=node.lineno,
+                    message=f"registered {label} {node.name} defines "
+                    f"{method}, outside the {label} protocol ({required} "
+                    f"only)",
+                    hint="where shards run is a scheduler concern: register "
+                    "a scheduler (run_shards) instead",
+                )
 
     def _methods_of(
         self, node: ast.ClassDef, class_index: Dict[str, List], depth: int

@@ -8,22 +8,20 @@ Façade over model compilation, execution, and metrics:
   automatic micro-batching.
 * :class:`InferenceResult` / :class:`LayerTelemetry` — structured
   outputs: logits, per-layer window counts, workloads, wall time.
-* backend registry — string-keyed pluggable execution strategies
+* backend registry — string-keyed pluggable sampling strategies
   (``"ideal"``, ``"stochastic"``, ``"stochastic-dense"``,
   ``"stochastic-packed"``, ``"stochastic-fused-batched"``,
-  ``"stochastic-parallel"``); extend via :func:`register_backend`.
-* :class:`~repro.api.parallel.StochasticParallelBackend` — process-pool
-  execution of micro-batch shards, bit-identical to serial for the
-  same session seed.
-* :class:`Serving` — concurrent thread-pool front-end over
-  ``Session.run_many`` with bounded workers and a
-  :class:`ServingReport` of throughput telemetry.
+  ``"stochastic-batched"``); extend via :func:`register_backend`.
+  Where shards run is the runtime scheduler's concern, never the
+  backend's.
 * :class:`ServingDaemon` (from :mod:`repro.runtime`) — long-lived
-  queued serving with deadline-based batch coalescing; coalesced waves
-  are bit-identical to uncoalesced serial execution for seeded
-  daemons. A second consumer overlaps wave assembly with wave
-  execution, and the live ``queue_depth`` / ``in_flight`` gauges plus
-  non-blocking ``try_submit`` feed the network tier's load shedding.
+  queued serving with work-conserving batch coalescing; coalesced
+  waves are bit-identical to uncoalesced serial execution for seeded
+  daemons, and :meth:`ServingDaemon.serve` wraps a batch in a
+  :class:`ServingReport` of throughput telemetry. A second consumer
+  overlaps wave assembly with wave execution, and the live
+  ``queue_depth`` / ``in_flight`` gauges plus non-blocking
+  ``try_submit`` feed the network tier's load shedding.
 * network serving tier (:mod:`repro.net`) — the framed wire protocol,
   the asyncio :class:`~repro.net.server.NetworkServer` ingestion
   front-end with per-client quotas and rate limiting, sync/async
@@ -32,7 +30,8 @@ Façade over model compilation, execution, and metrics:
 * runtime subsystem (:mod:`repro.runtime`) — explicit
   :class:`ExecutionPlan` task DAGs (:func:`compile_plan`), pluggable
   schedulers (``"serial"`` / ``"shard-parallel"`` / ``"tile-parallel"``
-  / ``"adaptive"``, the cost-model chooser), the calibratable
+  / ``"adaptive"``, the cost-model chooser; the process pool is
+  bit-identical to serial for the same session seed), the calibratable
   :class:`CostModel` (:func:`calibrate`), and shared-memory activation
   transport.
 * fault tolerance (:mod:`repro.runtime.faults` /
@@ -80,14 +79,12 @@ from repro.api.experiments import (
     register_experiment,
     run_experiment,
 )
-from repro.api.parallel import StochasticParallelBackend
 from repro.api.results import (
     InferenceResult,
     LayerTelemetry,
     ServingReport,
     network_workloads,
 )
-from repro.api.serving import Serving
 from repro.runtime import (
     AdaptiveScheduler,
     CostCoefficients,
@@ -118,7 +115,6 @@ __all__ = [
     "ExecutionPlan",
     "plan_shards",
     "compile_plan",
-    "Serving",
     "ServingDaemon",
     "DaemonStats",
     "ServingReport",
@@ -129,7 +125,6 @@ __all__ = [
     "CostCoefficients",
     "StageDecision",
     "calibrate",
-    "StochasticParallelBackend",
     "InferenceResult",
     "LayerTelemetry",
     "ExecutionBackend",

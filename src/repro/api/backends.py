@@ -5,8 +5,7 @@ sampling engine turns a :class:`~repro.hardware.accelerator.TiledLinearLayer`
 plus a flat +-1 activation batch into the layer's +-1 outputs. Backends
 are stateless strategy objects registered under string keys so callers
 (CLI flags, experiment configs, serving layers) select them by name, and
-new execution strategies (multiprocessing shards, GPU offload, remote
-workers) plug in without touching the engine:
+new sampling strategies plug in without touching the engine:
 
     from repro.api import register_backend
 
@@ -41,19 +40,12 @@ First-class backends:
     (:meth:`StochasticBatchedBackend.begin_shard`) and served to each
     layer pass as consecutive slices — bit-identical to per-pass draws
     from the same session generator, one RNG invocation per *shard*.
-``"stochastic-parallel"``
-    Shard-level strategy (:mod:`repro.api.parallel`, a facade over
-    :class:`repro.runtime.scheduler.ShardParallelScheduler`):
-    micro-batch shards of the session's
-    :class:`~repro.runtime.plan.ShardPlan` are executed on a process
-    pool with shared-memory activation transport, bit-identical to
-    serial execution for the same session seed. Implements ``run_plan``
-    / ``run_shards`` instead of ``run_layer``.
 
-Backends answer *how* a crossbar stage is sampled; the orthogonal
-question of *where shards and tiles run* belongs to the runtime
-schedulers (:mod:`repro.runtime.scheduler` — ``"serial"``,
-``"shard-parallel"``, ``"tile-parallel"``), selected per session via
+Backends answer *how* a crossbar stage is sampled, and nothing else:
+every backend implements ``run_layer``. *Where shards and tiles run*
+belongs to the runtime schedulers (:mod:`repro.runtime.scheduler` —
+``"serial"``, ``"shard-parallel"``, ``"tile-parallel"``,
+``"adaptive"``), selected per session via
 ``engine.session(scheduler=...)``.
 """
 
@@ -69,16 +61,10 @@ from repro.sc.binomial import DrawBatch
 
 _REGISTRY: Dict[str, Type] = {}
 _ALIASES: Dict[str, str] = {}
-#: Cached instances of stateless backends — one strategy object per
-#: registered name, shared by every session (constructing a fresh
-#: object per ``Session.run`` was pure garbage churn). Stateful
-#: backends (``stateless = False``, e.g. process pools) are excluded.
+#: One shared strategy instance per registered name (backends are
+#: stateless, so constructing a fresh object per ``Session.run`` would
+#: be pure garbage churn).
 _INSTANCES: Dict[str, object] = {}
-#: When set (CLI ``--workers``), requests for the default-dispatch
-#: ``"stochastic"`` backend resolve to this strategy instance instead,
-#: so existing experiments parallelize without threading a new argument
-#: through every harness.
-_DISPATCH_OVERRIDE = None
 
 
 def register_backend(name: str, *, aliases: Tuple[str, ...] = (), summary: str = ""):
@@ -115,36 +101,14 @@ def backend_aliases() -> Dict[str, str]:
     return dict(_ALIASES)
 
 
-def set_dispatch_override(backend):
-    """Install (or clear, with None) the default-dispatch override.
-
-    While installed, :func:`get_backend` resolves ``"stochastic"`` /
-    ``"auto"`` to ``backend`` instead of the registered class — the CLI
-    uses this to route any experiment's stochastic inference through a
-    configured parallel backend. Returns the previous override so
-    callers can restore it.
-    """
-    global _DISPATCH_OVERRIDE
-    previous = _DISPATCH_OVERRIDE
-    _DISPATCH_OVERRIDE = backend
-    return previous
-
-
-def get_backend(name, *, allow_override: bool = True):
+def get_backend(name):
     """Resolve the backend registered under ``name`` (or an alias).
 
-    Passing an object that already satisfies a backend protocol
-    (``run_layer`` for layer-level strategies, ``run_plan`` for
-    shard-level ones) returns it unchanged, so engines accept both
-    names and ready-made strategy instances. Stateless backends are
-    cached — every caller shares one instance per name.
-
-    ``allow_override=False`` ignores the dispatch override installed by
-    :func:`set_dispatch_override`; the parallel backend resolves its
-    *inner* strategy this way so routing ``"stochastic"`` to a process
-    pool cannot recurse (a forked worker inherits the override global).
+    Passing an object that already implements ``run_layer`` returns it
+    unchanged, so engines accept both names and ready-made strategy
+    instances. Every caller shares one cached instance per name.
     """
-    if hasattr(name, "run_layer") or hasattr(name, "run_plan"):
+    if hasattr(name, "run_layer"):
         return name
     key = _ALIASES.get(name, name)
     cls = _REGISTRY.get(key)
@@ -152,33 +116,10 @@ def get_backend(name, *, allow_override: bool = True):
         raise KeyError(
             f"unknown backend {name!r}; registered: {', '.join(available_backends())}"
         )
-    if allow_override and key == "stochastic" and _DISPATCH_OVERRIDE is not None:
-        return _DISPATCH_OVERRIDE
-    if not getattr(cls, "stateless", True):
-        return cls()
     instance = _INSTANCES.get(key)
     if instance is None:
         instance = _INSTANCES[key] = cls()
     return instance
-
-
-def resolve_strategy(source):
-    """Resolve ``source`` (name or instance) to ``(strategy, owned)``.
-
-    ``owned`` is True only when this call *constructed* a throwaway
-    stateful instance from a name — the caller is then responsible for
-    closing it. Caller-provided instances, cached stateless singletons,
-    and the shared dispatch-override instance are never owned (closing
-    the override from a session would tear down the pool every other
-    caller is using).
-    """
-    strategy = get_backend(source)
-    owned = (
-        isinstance(source, str)
-        and not getattr(strategy, "stateless", True)
-        and strategy is not _DISPATCH_OVERRIDE
-    )
-    return strategy, owned
 
 
 class ExecutionBackend:
@@ -189,11 +130,6 @@ class ExecutionBackend:
     #: True when the backend consumes no randomness (telemetry then
     #: reports zero sampled windows).
     deterministic = False
-    #: Stateless strategies are cached by :func:`get_backend` (one
-    #: shared instance per name). Backends that carry configuration or
-    #: resources (worker pools) set this False and are constructed
-    #: fresh per request-for-name.
-    stateless = True
 
     def run_layer(
         self,

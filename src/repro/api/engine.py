@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.api.backends import get_backend, resolve_strategy
+from repro.api.backends import get_backend
 from repro.api.results import InferenceResult, merge_telemetry, network_workloads
 from repro.hardware.config import HardwareConfig
 from repro.hardware.cost import AcceleratorCostModel, LayerWorkload
@@ -67,6 +67,29 @@ DEFAULT_MICRO_BATCH = 64
 #: default) from an explicit ``micro_batch=None`` (no sharding).
 _INHERIT = object()
 
+#: The scheduler sessions on the ``"stochastic"`` backend run on when
+#: they name none (see :func:`set_default_scheduler`).
+_DEFAULT_SCHEDULER = None
+
+
+def set_default_scheduler(scheduler):
+    """Install (or clear, with None) the process-wide default scheduler.
+
+    While installed, a :class:`Session` whose backend is the
+    default-dispatch ``"stochastic"`` (or its ``"auto"`` alias) and that
+    passes ``scheduler=None`` runs on ``scheduler`` instead of the
+    serial loop; every other session is untouched. ``repro run
+    --workers N`` installs a ``ShardParallelScheduler(workers=N)`` here
+    so any experiment's stochastic inference fans out without threading
+    a new argument through every harness — bit-identical to serial,
+    like every scheduler. Sessions never close the installed instance:
+    its installer does. Returns the previous default so callers can
+    restore it.
+    """
+    global _DEFAULT_SCHEDULER
+    previous, _DEFAULT_SCHEDULER = _DEFAULT_SCHEDULER, scheduler
+    return previous
+
 
 class Session:
     """One inference session: pinned RNG state + batched requests.
@@ -87,18 +110,17 @@ class Session:
     into ``micro_batch``-sized shards automatically and merges the
     telemetry, so callers never hand-roll batching loops. Each shard is
     executed under its own child seed (:meth:`plan_shards`), which is
-    what makes the process-pool ``"stochastic-parallel"`` backend
-    bit-identical to serial execution and lets the serving front-ends
-    (:class:`~repro.api.serving.Serving`,
-    :class:`~repro.runtime.daemon.ServingDaemon`) interleave sessions
+    what makes the process-pool ``"shard-parallel"`` scheduler
+    bit-identical to serial execution and lets the serving daemon
+    (:class:`~repro.runtime.daemon.ServingDaemon`) interleave requests
     safely.
 
     ``scheduler`` selects a runtime scheduler by name or instance
-    (:mod:`repro.runtime.scheduler`); the default is the serial
-    in-process loop, unless the backend is a shard-level strategy
-    (``run_plan``) that executes plans itself. For pool-capable
-    backends (any registered layer-level backend) the documented
-    default is ``scheduler="adaptive"``: the cost-model chooser
+    (:mod:`repro.runtime.scheduler`); every run executes through its
+    ``run_shards``. The default is the serial in-process loop (or the
+    process-wide default installed by :func:`set_default_scheduler`,
+    for ``"stochastic"`` sessions). For registered backends the
+    documented choice is ``scheduler="adaptive"``: the cost-model chooser
     inspects the compiled :class:`ExecutionPlan` and picks serial,
     shard-parallel, or tile-parallel fan-out per request — always
     bit-identical to serial for the same session seed, with the
@@ -125,25 +147,15 @@ class Session:
     ) -> None:
         self.engine = engine
         source = backend if backend is not None else engine.backend
-        # Resolve the strategy once per session (not per run): stateless
-        # backends come from the registry cache, stateful ones (process
-        # pools) keep their workers warm across this session's requests.
-        self._strategy, self._owns_strategy = resolve_strategy(source)
+        self._strategy = get_backend(source)
         self.backend = getattr(self._strategy, "name", str(source))
         if scheduler is None:
-            self._scheduler, self._owns_scheduler = None, False
-        else:
-            self._scheduler, self._owns_scheduler = resolve_scheduler(scheduler)
-            if not hasattr(self._scheduler, "run_plan") and not hasattr(
-                self._strategy, "run_layer"
-            ):
-                raise ValueError(
-                    f"scheduler {getattr(self._scheduler, 'name', scheduler)!r} "
-                    f"executes in-process and needs a layer-level backend, but "
-                    f"{self.backend!r} is shard-level (run_plan only)"
-                )
-            if hasattr(self._scheduler, "run_plan"):
-                self._align_pool_scheduler(backend)
+            scheduler = "serial"
+            if _DEFAULT_SCHEDULER is not None and self.backend == "stochastic":
+                scheduler = _DEFAULT_SCHEDULER
+        self._scheduler, self._owns_scheduler = resolve_scheduler(scheduler)
+        if hasattr(self._scheduler, "inner"):
+            self._align_pool_scheduler(backend)
         self.micro_batch = (
             engine.micro_batch if micro_batch is _INHERIT else micro_batch
         )
@@ -203,80 +215,49 @@ class Session:
     ) -> InferenceResult:
         """Execute one batched request; returns a structured result."""
         self._check_open()
-        pool_scheduled = self._scheduler is not None and hasattr(
-            self._scheduler, "run_plan"
-        )
+        pool_scheduled = hasattr(self._scheduler, "inner")
         if pool_scheduled and backend is not None:
             raise ValueError(
                 "per-run backend overrides are not supported with a pool "
                 "scheduler (workers execute the scheduler's inner strategy); "
                 "set the session backend instead"
             )
-        strategy, owned = self._resolve(backend)
-        try:
-            x = np.asarray(images)
-            if x.ndim < 2:
-                raise ValueError(
-                    f"images must be batched (N, ...), got shape {x.shape}"
-                )
-            n = x.shape[0]
-            sharded_backend = (
-                hasattr(strategy, "run_plan") and self._scheduler is None
+        strategy = self._strategy if backend is None else get_backend(backend)
+        x = np.asarray(images)
+        if x.ndim < 2:
+            raise ValueError(
+                f"images must be batched (N, ...), got shape {x.shape}"
             )
-            needs_seeds = sharded_backend or getattr(
-                self._scheduler, "requires_seeds", False
-            )
-            if needs_seeds and not self._seeded:
-                # Every worker holds an identical copy of the network's
-                # compile-time streams — seedless shards would replay
-                # the same draws on each worker. Plan with fresh
-                # entropy instead.
-                plan = plan_shards(n, self.micro_batch, rng=new_rng(None))
-            else:
-                plan = self.plan_shards(n)
-            start = time.perf_counter()
-            if sharded_backend:
-                # Shard-level backend (process pool): it executes the
-                # whole plan against its own per-worker network copies,
-                # so the engine's shared layers are never touched here.
-                # Recovery extras ride as kwargs only when configured,
-                # so duck-typed strategies with the legacy three-arg
-                # run_plan keep working.
-                kwargs = (
-                    {}
-                    if self.deadline_s is None
-                    else {"deadline_s": self.deadline_s}
-                )
-                logits, telemetry = strategy.run_plan(
-                    self.engine.network, x, plan, **kwargs
-                )
-                decisions = None
-                recovery = self._recovery_of(strategy)
-            else:
-                logits, telemetry, decisions, recovery = self._run_scheduled(
-                    x, plan, strategy
-                )
-            return InferenceResult(
-                logits=logits,
-                # With a pool scheduler the workers executed the
-                # session backend (aligned at construction), not the
-                # in-process strategy object.
-                backend=(
-                    self.backend
-                    if pool_scheduled
-                    else getattr(strategy, "name", str(strategy))
-                ),
-                batch_size=n,
-                micro_batches=len(plan),
-                wall_time_s=time.perf_counter() - start,
-                layers=telemetry,
-                labels=None if labels is None else np.asarray(labels),
-                decisions=decisions,
-                recovery=recovery,
-            )
-        finally:
-            if owned and hasattr(strategy, "close"):
-                strategy.close()
+        n = x.shape[0]
+        if getattr(self._scheduler, "requires_seeds", False) and not self._seeded:
+            # Every worker holds an identical copy of the network's
+            # compile-time streams — seedless shards would replay the
+            # same draws on each worker. Plan with fresh entropy instead.
+            plan = plan_shards(n, self.micro_batch, rng=new_rng(None))
+        else:
+            plan = self.plan_shards(n)
+        start = time.perf_counter()
+        logits, telemetry, decisions, recovery = self._run_scheduled(
+            x, plan, strategy
+        )
+        return InferenceResult(
+            logits=logits,
+            # With a pool scheduler the workers executed the session
+            # backend (aligned at construction), not the in-process
+            # strategy object.
+            backend=(
+                self.backend
+                if pool_scheduled
+                else getattr(strategy, "name", str(strategy))
+            ),
+            batch_size=n,
+            micro_batches=len(plan),
+            wall_time_s=time.perf_counter() - start,
+            layers=telemetry,
+            labels=None if labels is None else np.asarray(labels),
+            decisions=decisions,
+            recovery=recovery,
+        )
 
     def run_many(
         self,
@@ -324,18 +305,10 @@ class Session:
         results report what actually executed, and an explicitly
         conflicting ``backend=`` is rejected rather than dropped.
         """
-        if hasattr(self._strategy, "run_plan"):
-            raise ValueError(
-                f"backend {self.backend!r} is itself shard-level; combining it "
-                f"with a pool scheduler would create two pools — configure the "
-                f"scheduler's inner backend instead"
-            )
-        inner = getattr(self._scheduler, "inner", None)
-        if inner is None:  # pragma: no cover - custom scheduler contract
-            return
+        inner = self._scheduler.inner
         if self._owns_scheduler:
             try:
-                get_backend(self.backend, allow_override=False)
+                get_backend(self.backend)
             except KeyError as exc:
                 raise ValueError(
                     f"backend {self.backend!r} is not a registered name; pool "
@@ -353,25 +326,9 @@ class Session:
             # strategy; report that, not the engine default.
             self.backend = inner
 
-    def _resolve(self, backend):
-        """Strategy for one run: the session's cached instance, or a
-        per-run override. A name override that constructs a *stateful*
-        backend is owned by this run and closed when it finishes."""
-        if backend is None:
-            return self._strategy, False
-        return resolve_strategy(backend)
-
-    @staticmethod
-    def _recovery_of(source) -> Optional[dict]:
-        """The latest :class:`~repro.runtime.recovery.RecoveryLog` of a
-        recovering scheduler/strategy, as a dict (None for paths with
-        nothing to recover)."""
-        log = getattr(source, "last_recovery", None)
-        return None if log is None else log.as_dict()
-
     def _run_scheduled(self, x, plan: ShardPlan, strategy):
-        """Execute a plan through the session's runtime scheduler
-        (serial by default): run per-shard, merge. The ExecutionPlan
+        """Execute a plan through the session's runtime scheduler: run
+        per-shard, merge. The ExecutionPlan
         task DAG is compiled only for schedulers that consume it
         (``needs_task_graph`` — the ``"adaptive"`` chooser and the
         tile scheduler) — the plain shard schedulers execute straight
@@ -381,8 +338,6 @@ class Session:
         recovering path (each None otherwise).
         """
         scheduler = self._scheduler
-        if scheduler is None:
-            scheduler, _ = resolve_scheduler("serial")
         if getattr(scheduler, "needs_task_graph", False):
             exec_plan = compile_plan(
                 self.engine.network, plan, input_shape=np.asarray(x).shape[1:]
@@ -399,7 +354,8 @@ class Session:
             deadline_s=self.deadline_s,
         )
         decisions = getattr(scheduler, "last_decisions", None)
-        recovery = self._recovery_of(scheduler)
+        log = getattr(scheduler, "last_recovery", None)
+        recovery = None if log is None else log.as_dict()
         parts = [logits for logits, _ in outputs]
         telemetry = merge_telemetry(records for _, records in outputs)
         logits = np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0]
@@ -407,14 +363,12 @@ class Session:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release owned resources (a strategy or scheduler constructed
-        from a name, e.g. a process pool). Idempotent; a closed session
-        rejects further requests with :class:`RuntimeError`."""
+        """Release an owned scheduler (one constructed from a name, e.g.
+        a process pool). Idempotent; a closed session rejects further
+        requests with :class:`RuntimeError`."""
         if self._closed:
             return
         self._closed = True
-        if self._owns_strategy and hasattr(self._strategy, "close"):
-            self._strategy.close()
         if self._owns_scheduler and hasattr(self._scheduler, "close"):
             self._scheduler.close()
 
@@ -459,9 +413,8 @@ class Engine:
         self.backend = backend
         self.micro_batch = micro_batch
         # Serializes in-process shard execution on the shared layers;
-        # shard-level backends (process pools) never take it, so a
-        # serving front-end gets real concurrency from worker processes
-        # while in-process backends interleave safely at shard
+        # pool workers run their own network copies and never take it,
+        # while in-process schedulers interleave safely at shard
         # granularity.
         self._exec_lock = threading.RLock()
 
@@ -505,14 +458,14 @@ class Engine:
     ) -> Session:
         """Open a :class:`Session` (pinned RNG + batched requests).
 
-        ``backend`` accepts a registered name or a ready-made strategy
-        instance (e.g. a configured
-        :class:`~repro.api.parallel.StochasticParallelBackend`).
+        ``backend`` accepts a registered name or a ready-made
+        ``run_layer`` strategy instance.
         ``micro_batch``: omit to inherit the engine default, pass an int
         to shard requests at that size, or ``None`` to disable sharding.
         ``scheduler``: a runtime scheduler name (``"serial"``,
         ``"shard-parallel"``, ``"tile-parallel"``, ``"adaptive"``) or
-        instance; omit for the serial loop. ``"adaptive"`` is the
+        instance; omit for the serial loop (or the default installed by
+        :func:`set_default_scheduler`). ``"adaptive"`` is the
         recommended default for pool-capable backends — it picks the
         fan-out per request from the plan's cost model and stays
         bit-identical to serial. ``deadline_s`` bounds each request's

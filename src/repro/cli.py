@@ -17,8 +17,8 @@ emits JSON::
     python -m repro.cli run fig5                   # default arguments
     python -m repro.cli run table3 -k epochs=4 -k n_eval=100
     python -m repro.cli run fig10 -o fig10.json
-    python -m repro.cli run fig10 --workers 4      # stochastic inference
-                                                   # on a 4-process pool
+    python -m repro.cli run fig10 --workers 4      # stochastic sessions run
+                                                   # on a 4-worker shard pool
 
 ``backends`` lists the registered inference execution backends (and
 their aliases). ``plan-inspect`` compiles a request into its
@@ -31,11 +31,11 @@ cost-model decision (chosen mode + predicted wall time per candidate)::
     python -m repro.cli plan-inspect --coefficients coeffs.json --tasks
 
 ``serve-bench`` trains a small reference model and
-measures concurrent serving throughput across the serving front-ends:
-the thread-pool ``Serving`` baseline, the coalescing ``ServingDaemon``,
-each over both the in-process and process-parallel execution paths
-(``--json`` dumps the report rows machine-readably; every row carries
-the same fully-populated key set)::
+measures serving throughput of the coalescing ``ServingDaemon``, on the
+serial in-process scheduler and on a ``ShardParallelScheduler`` pool
+per ``--workers`` count (``--json`` dumps the report rows
+machine-readably; every row carries the same fully-populated key
+set)::
 
     python -m repro.cli serve-bench --workers 1 2 4 --requests 8
     python -m repro.cli serve-bench --json serve_bench.json
@@ -112,19 +112,18 @@ def _cmd_run(args) -> int:
 
     overrides = dict(args.overrides or [])
     if args.workers:
-        # Route the experiment's default-dispatch stochastic inference
-        # through a process pool: every Engine request for the
-        # "stochastic" backend resolves to this instance instead.
-        from repro.api.backends import set_dispatch_override
-        from repro.api.parallel import StochasticParallelBackend
+        # Every "stochastic" session the experiment opens without a
+        # scheduler runs its shards on this pool (bit-identical).
+        from repro.api.engine import set_default_scheduler
+        from repro.runtime.scheduler import ShardParallelScheduler
 
-        override = StochasticParallelBackend(workers=args.workers)
-        previous = set_dispatch_override(override)
+        pool = ShardParallelScheduler(workers=args.workers)
+        previous = set_default_scheduler(pool)
         try:
             result = run_experiment(args.experiment, **overrides)
         finally:
-            set_dispatch_override(previous)
-            override.close()
+            set_default_scheduler(previous)
+            pool.close()
     else:
         result = run_experiment(args.experiment, **overrides)
     payload = json.dumps(_to_jsonable(result), indent=2)
@@ -194,15 +193,14 @@ def _request_pool(args, test):
     return requests, labels
 
 
-def _serving_row(mode: str, report, stats=None) -> dict:
+def _serving_row(mode: str, report, stats: dict) -> dict:
     """One fully-populated ``serve-bench --json`` row.
 
     Every row carries the same key set regardless of mode — counters a
-    mode cannot produce (waves for the thread-pool front-end, retries
-    for a clean run) are zeros, never missing keys — so downstream
-    tooling can diff rows without schema sniffing.
+    run did not produce (retries for a clean run) are zeros, never
+    missing keys — so downstream tooling can diff rows without schema
+    sniffing.
     """
-    stats = stats or {}
     return {
         "mode": mode,
         "backend": str(report.backend),
@@ -229,42 +227,28 @@ def _cmd_serve_bench(args) -> int:
     if args.connect is not None:
         return _serve_bench_network(args)
 
-    from repro.api import Serving, ServingDaemon
-    from repro.api.parallel import StochasticParallelBackend
+    from repro.api import ServingDaemon
+    from repro.runtime.scheduler import ShardParallelScheduler
 
     engine, test, software_accuracy, _ = _bench_engine(args)
     requests, labels = _request_pool(args, test)
 
     window_s = args.window_ms / 1e3
-    rows = []  # (mode, ServingReport, daemon-stats dict or None)
-    with Serving(engine, workers=1, backend="stochastic", seed=args.seed) as front:
-        rows.append(("serving-serial", front.serve(requests, labels=labels), None))
-    # Coalescing daemon on the same in-process backend: requests merge
-    # into waves, bit-identical to the per-request sessions above.
-    with ServingDaemon(
-        engine,
+    rows = []  # (mode, ServingReport, daemon-stats dict)
+    # Requests merge into waves, bit-identical to per-request child-seeded
+    # sessions, whichever scheduler runs them.
+    daemon_kwargs = dict(
         backend="stochastic",
         seed=args.seed,
         seed_per_request=True,
         coalesce_window_s=window_s,
-    ) as daemon:
+    )
+    with ServingDaemon(engine, **daemon_kwargs) as daemon:
         report = daemon.serve(requests, labels=labels)
         rows.append(("daemon-coalesced", report, daemon.stats.as_dict()))
     for workers in args.workers:
-        with StochasticParallelBackend(workers=workers) as backend:
-            with Serving(
-                engine, workers=workers, backend=backend, seed=args.seed
-            ) as front:
-                rows.append(
-                    ("serving-parallel", front.serve(requests, labels=labels), None)
-                )
-            with ServingDaemon(
-                engine,
-                backend=backend,
-                seed=args.seed,
-                seed_per_request=True,
-                coalesce_window_s=window_s,
-            ) as daemon:
+        with ShardParallelScheduler(workers=workers) as scheduler:
+            with ServingDaemon(engine, scheduler=scheduler, **daemon_kwargs) as daemon:
                 report = daemon.serve(requests, labels=labels)
                 rows.append(("daemon-parallel", report, daemon.stats.as_dict()))
 
@@ -274,17 +258,14 @@ def _cmd_serve_bench(args) -> int:
         f"{'accuracy':>9}"
     )
     for mode, report, _ in rows:
-        waves = "-" if report.waves is None else str(report.waves)
         print(
             f"{mode:<17} {report.backend:<21} {report.workers:>7d} "
             f"{report.wall_time_s:>8.3f} {report.requests_per_s:>8.2f} "
             f"{report.images_per_s:>9.1f} {report.mean_latency_s * 1e3:>12.1f} "
-            f"{waves:>6} {report.accuracy:>9.3f}"
+            f"{report.waves:>6d} {report.accuracy:>9.3f}"
         )
     print("\ndaemon fault-tolerance counters:")
     for mode, _, stats in rows:
-        if stats is None:
-            continue
         print(
             f"  {mode:<17} retries={stats['retries']} "
             f"recoveries={stats['recoveries']} rejected={stats['rejected']} "
@@ -570,25 +551,56 @@ def _serve_bench_network(args) -> int:
     return exit_code
 
 
+def _serve_target(args, engines):
+    """What ``repro serve`` fronts: a single daemon for one engine, a
+    :class:`~repro.net.router.DaemonRouter` over one replica daemon per
+    engine otherwise. ``--serve-workers N`` (N > 1) gives every replica
+    its own N-worker
+    :class:`~repro.runtime.scheduler.ShardParallelScheduler`: a pool
+    holds one network, so replicas sharing one would rebuild it each
+    time consecutive waves came from different replicas. Returns
+    ``(target, schedulers)``; the caller closes the target, then the
+    schedulers."""
+    from repro.api import ServingDaemon
+    from repro.net import DaemonRouter
+    from repro.runtime.scheduler import ShardParallelScheduler
+
+    schedulers = []
+
+    def replica(index, engine, **kwargs):
+        if args.serve_workers > 1:
+            schedulers.append(ShardParallelScheduler(workers=args.serve_workers))
+            kwargs["scheduler"] = schedulers[-1]
+        return ServingDaemon(
+            engine,
+            name=f"replica-{index}",
+            backend="stochastic",
+            coalesce_window_s=args.window_ms / 1e3,
+            max_queue=args.max_queue,
+            **kwargs,
+        )
+
+    if len(engines) == 1:
+        return replica(0, engines[0], seed=args.seed), schedulers
+    router = DaemonRouter(
+        [replica(i, engine) for i, engine in enumerate(engines)], seed=args.seed
+    )
+    return router, schedulers
+
+
 def _cmd_serve(args) -> int:
     """Run the asyncio network serving front-end in the foreground.
 
     ``--replicas N`` (default from ``REPRO_ROUTER_REPLICAS``, 1) serves
     through a :class:`~repro.net.router.DaemonRouter` over N replica
-    daemons instead of a single daemon."""
+    daemons instead of a single daemon (see :func:`_serve_target`)."""
     import asyncio
 
-    from repro.api import Engine, ServingDaemon
-    from repro.api.parallel import StochasticParallelBackend
-    from repro.net import DaemonRouter, NetworkServer
+    from repro.api import Engine
+    from repro.net import NetworkServer
     from repro.runtime.env import env_int
 
     engine, _, _, model = _bench_engine(args)
-    backend = (
-        "stochastic"
-        if args.serve_workers <= 1
-        else StochasticParallelBackend(workers=args.serve_workers)
-    )
     n_replicas = (
         args.replicas
         if args.replicas is not None
@@ -597,20 +609,9 @@ def _cmd_serve(args) -> int:
     if n_replicas < 1:
         print(f"--replicas must be >= 1, got {n_replicas}", file=sys.stderr)
         return 2
-    daemon_kwargs = dict(
-        backend=backend,
-        coalesce_window_s=args.window_ms / 1e3,
-        max_queue=args.max_queue,
-    )
-    if n_replicas == 1:
-        daemon = ServingDaemon(
-            engine, name="replica-0", seed=args.seed, **daemon_kwargs
-        )
-    else:
-        engines = [engine] + [
-            Engine.from_model(model) for _ in range(n_replicas - 1)
-        ]
-        daemon = DaemonRouter.build(engines, seed=args.seed, **daemon_kwargs)
+    engines = [engine] + [Engine.from_model(model) for _ in range(n_replicas - 1)]
+    daemon, schedulers = _serve_target(args, engines)
+    if n_replicas > 1:
         print(f"routing over {n_replicas} replica daemons")
 
     async def _amain() -> None:
@@ -646,8 +647,8 @@ def _cmd_serve(args) -> int:
             # instead of dying with a traceback mid-join.
             print("forced shutdown, abandoning queued requests")
             daemon.close(drain=False)
-        if not isinstance(backend, str):
-            backend.close()
+        for scheduler in schedulers:
+            scheduler.close()
     return 0
 
 
@@ -959,8 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "run the experiment's stochastic inference on an N-process "
-            "pool (the 'stochastic-parallel' backend)"
+            "run the experiment's stochastic sessions on an N-worker "
+            "ShardParallelScheduler pool (bit-identical to serial)"
         ),
     )
     p.set_defaults(func=_cmd_run)

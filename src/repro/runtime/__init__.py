@@ -14,13 +14,15 @@ facade and the layer-level execution backends
   :func:`run_stages` + :func:`seed_shard` every execution path runs
   through.
 * :mod:`repro.runtime.scheduler` — pluggable string-keyed schedulers:
-  ``"serial"``, ``"shard-parallel"`` (process pool), and
-  ``"tile-parallel"`` (concurrent column tiles). Extend via
+  ``"serial"``, ``"shard-parallel"`` (process pool),
+  ``"tile-parallel"`` (concurrent column tiles), and ``"adaptive"``
+  (the cost-model chooser). ``run_shards`` is the one execution seam
+  for sessions and the serving daemon alike. Extend via
   :func:`register_scheduler`.
 * :mod:`repro.runtime.transport` — shared-memory activation ring
   buffers that replace pickled ndarray shipping to pool workers.
 * :mod:`repro.runtime.daemon` — :class:`ServingDaemon`, the long-lived
-  queued serving loop with deadline-based batch coalescing (coalesced
+  queued serving loop with work-conserving batch coalescing (coalesced
   waves stay bit-identical to uncoalesced execution for seeded
   daemons).
 * :mod:`repro.runtime.faults` — the deterministic fault-injection
@@ -37,9 +39,9 @@ facade and the layer-level execution backends
   source of the generated ``docs/ENVIRONMENT.md``) and enforced by the
   ``env-discipline`` rule of :mod:`repro.analysis`.
 
-The :mod:`repro.api` surface (Engine / Session / Serving /
-StochasticParallelBackend) is a facade over this package; existing
-code keeps working unchanged.
+The :mod:`repro.api` surface (Engine / Session) is a facade over this
+package: a session picks *how* a stage is sampled (the backend) and
+hands *where* its shards run to one of these schedulers.
 """
 
 from repro.runtime.costmodel import (

@@ -36,8 +36,8 @@ to uncoalesced** execution for a seeded daemon:
 * default mode: one session seed; waves replay
   ``Session(engine, seed=...).run_many(requests)`` bit for bit;
 * ``seed_per_request=True``: each request gets a child seed drawn in
-  arrival order (the :class:`~repro.api.serving.Serving` front-end's
-  contract), replaying per-request child-seeded sessions bit for bit;
+  arrival order, replaying per-request child-seeded sessions
+  (``Session(engine, seed=child)``) bit for bit;
 * an explicit ``seed=`` on :meth:`submit` pins one request's plan
   regardless of mode.
 
@@ -68,12 +68,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.api.backends import get_backend, resolve_strategy
+from repro.api.backends import get_backend
 from repro.api.results import InferenceResult, ServingReport, merge_telemetry
 from repro.runtime import faults
 from repro.runtime.plan import ShardPlan, compile_plan, concat_plans, plan_shards
 from repro.runtime.recovery import QueueFull, classified
-from repro.runtime.scheduler import SerialScheduler, resolve_scheduler
+from repro.runtime.scheduler import resolve_scheduler
 from repro.utils.rng import SeedLike, new_rng
 
 #: Sentinel mirroring :data:`repro.api.engine._INHERIT` without the
@@ -160,9 +160,8 @@ class ServingDaemon:
         The :class:`~repro.api.Engine` to serve.
     backend:
         Execution strategy shared by every wave — a registered name or
-        a ready-made instance (pass a configured
-        :class:`~repro.api.parallel.StochasticParallelBackend` so waves
-        fan out over its worker pool). Defaults to the engine's backend.
+        a ready-made ``run_layer`` instance. Defaults to the engine's
+        backend. Where the waves run is the ``scheduler``'s call.
     seed:
         Seeds the daemon generator. A seeded daemon is deterministic:
         request plans draw from the generator in arrival order, so the
@@ -172,8 +171,8 @@ class ServingDaemon:
         False (default): plans draw straight from the daemon generator
         — coalesced output is bit-identical to
         ``Session(seed=...).run_many`` of the same requests in order.
-        True: each request first draws a child seed (the
-        :class:`~repro.api.serving.Serving` front-end convention).
+        True: each request first draws a child seed, replaying
+        per-request ``Session(engine, seed=child)`` runs bit for bit.
     micro_batch:
         Per-request shard size (inherits the engine default).
     max_queue:
@@ -199,15 +198,16 @@ class ServingDaemon:
         Image-count ceiling per wave (a first request that already
         reaches it leaves without waiting).
     scheduler:
-        An in-process runtime scheduler name or instance the waves
-        execute through — pass ``"adaptive"`` so each *coalesced wave's*
-        combined plan goes through the cost-model chooser: a singleton
-        request below the break-even threshold runs serial, while a
-        coalesced wave whose merged plan crosses it fans out over the
-        pool. Requires a layer-level backend. The chooser's per-stage
-        decisions surface in :attr:`DaemonStats.decisions` /
-        :attr:`DaemonStats.mode_waves`. ``None`` keeps the classic
-        strategy-driven execution.
+        The runtime scheduler name or instance every wave executes
+        through (``None``: the serial in-process loop). Pass a
+        configured :class:`~repro.runtime.scheduler.ShardParallelScheduler`
+        to fan waves out over its worker pool, or ``"adaptive"`` so each
+        *coalesced wave's* combined plan goes through the cost-model
+        chooser: a singleton request below the break-even threshold
+        runs serial, while a coalesced wave whose merged plan crosses
+        it fans out over the pool. The chooser's per-stage decisions
+        surface in :attr:`DaemonStats.decisions` /
+        :attr:`DaemonStats.mode_waves`.
     prewarm:
         True builds the scheduler's worker pool (and shm ring) at
         construction, before any traffic — pool spin-up costs tens of
@@ -259,25 +259,12 @@ class ServingDaemon:
         self.engine = engine
         self.name = str(name)
         source = backend if backend is not None else engine.backend
-        self._strategy, self._owns_strategy = resolve_strategy(source)
+        self._strategy = get_backend(source)
         self.backend = getattr(self._strategy, "name", str(source))
-        if scheduler is None:
-            self._scheduler, self._owns_scheduler = None, False
-        else:
-            self._scheduler, self._owns_scheduler = resolve_scheduler(scheduler)
-            if not hasattr(self._scheduler, "run_shards"):
-                raise ValueError(
-                    f"daemon scheduler "
-                    f"{getattr(self._scheduler, 'name', scheduler)!r} must "
-                    f"implement the per-shard run_shards protocol (the wave "
-                    f"results are sliced back per request)"
-                )
-            if not hasattr(self._strategy, "run_layer"):
-                raise ValueError(
-                    f"a daemon scheduler executes in-process and needs a "
-                    f"layer-level backend, but {self.backend!r} is "
-                    f"shard-level (run_plan only)"
-                )
+        self._scheduler, self._owns_scheduler = resolve_scheduler(
+            "serial" if scheduler is None else scheduler
+        )
+        if hasattr(self._scheduler, "inner"):
             self._align_pool_scheduler(backend)
         if prewarm:
             warm = getattr(self._scheduler, "warm", None)
@@ -302,7 +289,6 @@ class ServingDaemon:
         self.coalesce_window_s = float(coalesce_window_s)
         self.max_wave_images = int(max_wave_images)
         self._queue: "queue.Queue[_Request]" = queue.Queue(maxsize=max_queue)
-        self._serial = SerialScheduler()
         self._stats = DaemonStats()
         self._stats_lock = threading.Lock()
         self._inflight = 0
@@ -485,15 +471,15 @@ class ServingDaemon:
         labels: Optional[Sequence] = None,
     ) -> ServingReport:
         """:meth:`run_many` wrapped in a throughput
-        :class:`~repro.api.results.ServingReport` (mirrors
-        :meth:`repro.api.serving.Serving.serve`)."""
+        :class:`~repro.api.results.ServingReport`; ``workers`` is the
+        scheduler's fan-out width (1 for the serial loop)."""
         start = time.perf_counter()
         before = self.stats.waves
         results = self.run_many(requests, labels=labels)
         return ServingReport(
             results=results,
             wall_time_s=time.perf_counter() - start,
-            workers=getattr(self._strategy, "workers", 1),
+            workers=getattr(self._scheduler, "workers", 1),
             backend=self.backend,
             waves=self.stats.waves - before,
         )
@@ -698,12 +684,10 @@ class ServingDaemon:
         is rejected rather than dropped. Schedulers without ``inner``
         (serial/tile/adaptive) execute the daemon's strategy directly.
         """
-        inner = getattr(self._scheduler, "inner", None)
-        if inner is None:
-            return
+        inner = self._scheduler.inner
         if self._owns_scheduler:
             try:
-                get_backend(self.backend, allow_override=False)
+                get_backend(self.backend)
             except KeyError as exc:
                 raise ValueError(
                     f"backend {self.backend!r} is not a registered name; pool "
@@ -725,25 +709,20 @@ class ServingDaemon:
         The draw pattern exactly replays the uncoalesced references:
         session mode consumes the daemon generator the way successive
         ``Session.run`` calls would; per-request mode first derives a
-        child seed the way :class:`~repro.api.serving.Serving` does.
-        Unseeded daemons plan from fresh entropy when the strategy
-        needs real seeds (process pools), seedless shards otherwise
-        (continuing the network's compile-time streams, like an
-        unseeded serial session).
+        child seed (one generator draw per request). Unseeded daemons
+        plan from fresh entropy when the scheduler needs real seeds
+        (process pools), seedless shards otherwise (continuing the
+        network's compile-time streams, like an unseeded serial
+        session).
         """
         if self.seed_per_request:
             child = int(self.rng.integers(0, 2**63 - 1))
             return plan_shards(n, self.micro_batch, rng=new_rng(child))
         if self._seeded:
             return plan_shards(n, self.micro_batch, rng=self.rng)
-        if hasattr(self._strategy, "run_plan") or hasattr(
-            self._strategy, "run_shards"
-        ):
-            return plan_shards(n, self.micro_batch, rng=new_rng(None))
         if getattr(self._scheduler, "requires_seeds", False):
-            # The adaptive chooser may send this plan to the process
-            # pool, where seedless shards would replay every worker's
-            # identical compile-time streams.
+            # A pool may run this plan, where seedless shards would
+            # replay every worker's identical compile-time streams.
             return plan_shards(n, self.micro_batch, rng=new_rng(None))
         return plan_shards(n, self.micro_batch)
 
@@ -789,11 +768,9 @@ class ServingDaemon:
         # request-by-request execution of the already-drawn plans so
         # only the offending request fails. (The scheduler has already
         # retried / serially rescued everything retryable by the time
-        # an exception reaches this level.) A merged-only strategy
-        # (bare ``run_plan``, no per-shard protocol) cannot be sliced
-        # back into per-request results, so its waves run per request.
+        # an exception reaches this level.)
         try:
-            if len(ready) == 1 or not self._can_slice():
+            if len(ready) == 1:
                 for item in ready:
                     self._run_single(item)
                 return
@@ -810,71 +787,42 @@ class ServingDaemon:
                 if not item.future.done():
                     self._run_single(item)
 
-    def _can_slice(self) -> bool:
-        strategy = self._strategy
-        return hasattr(strategy, "run_shards") or not hasattr(strategy, "run_plan")
-
     def _run_single(self, item: _Request) -> None:
         try:
             start = time.perf_counter()
-            if self._can_slice():
-                outputs = self._execute_shards(item.images, item.plan)
-            else:
-                logits, telemetry = self._strategy.run_plan(
-                    self.engine.network, item.images, item.plan
-                )
-                outputs = None
-            wall = time.perf_counter() - start
-            if outputs is not None:
-                self._slice_results([item], outputs, wall)
-            else:
-                self._finish(item, logits, telemetry, len(item.plan), wall)
+            outputs = self._execute_shards(item.images, item.plan)
+            self._slice_results([item], outputs, time.perf_counter() - start)
         except Exception as exc:  # noqa: BLE001 - forwarded to caller
             self._fail(item, classified(exc))
 
     def _execute_shards(self, x: np.ndarray, plan: ShardPlan):
         """Per-shard (logits, telemetry) pairs for one buffer + plan."""
-        strategy = self._strategy
         self._wave_recovery = None
-        if self._scheduler is not None:
-            exec_plan = plan
-            if getattr(self._scheduler, "needs_task_graph", False):
-                exec_plan = compile_plan(
-                    self.engine.network, plan, input_shape=np.asarray(x).shape[1:]
-                )
-            outputs = self._scheduler.run_shards(
-                self.engine.network,
-                x,
-                exec_plan,
-                strategy=strategy,
-                exec_lock=self.engine._exec_lock,
-                rng=self.rng,
-                deadline_s=self.deadline_s,
+        exec_plan = plan
+        if getattr(self._scheduler, "needs_task_graph", False):
+            exec_plan = compile_plan(
+                self.engine.network, plan, input_shape=np.asarray(x).shape[1:]
             )
-            self._record_choice()
-            self._record_recovery(self._scheduler)
-            return outputs
-        if hasattr(strategy, "run_shards"):
-            kwargs = {} if self.deadline_s is None else {"deadline_s": self.deadline_s}
-            outputs = strategy.run_shards(self.engine.network, x, plan, **kwargs)
-            self._record_recovery(strategy)
-            return outputs
-        return self._serial.run_shards(
+        outputs = self._scheduler.run_shards(
             self.engine.network,
             x,
-            plan,
-            strategy=strategy,
+            exec_plan,
+            strategy=self._strategy,
             exec_lock=self.engine._exec_lock,
             rng=self.rng,
+            deadline_s=self.deadline_s,
         )
+        self._record_choice()
+        self._record_recovery()
+        return outputs
 
-    def _record_recovery(self, source) -> None:
+    def _record_recovery(self) -> None:
         """Harvest the executing scheduler's recovery telemetry for the
         wave that just ran: the latest log lands in
         :attr:`DaemonStats.recovery` (and on each of the wave's
         :class:`~repro.api.results.InferenceResult`\\ s), retried
         attempts and recovered waves bump their counters."""
-        log = getattr(source, "last_recovery", None)
+        log = getattr(self._scheduler, "last_recovery", None)
         if log is None:
             return
         self._wave_recovery = log.as_dict()
@@ -1002,8 +950,6 @@ class ServingDaemon:
         ):  # pragma: no cover - pathological
             raise RuntimeError("ServingDaemon consumers did not stop in time")
         self._closed = True
-        if self._owns_strategy and hasattr(self._strategy, "close"):
-            self._strategy.close()
         if self._owns_scheduler and hasattr(self._scheduler, "close"):
             self._scheduler.close()
 

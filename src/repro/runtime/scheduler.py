@@ -9,8 +9,7 @@ each crossbar stage is sampled. Four first-class schedulers:
     In-process, shard by shard, under the engine's execution lock —
     exactly the session loop the Engine has always run.
 ``"shard-parallel"``
-    Shards fan out over a worker process pool (the pool machinery that
-    used to live in :mod:`repro.api.parallel`). Activations ship
+    Shards fan out over a worker process pool. Activations ship
     through the shared-memory :class:`~repro.runtime.transport.ActivationRing`
     by default; per-shard reseeding keeps N-worker output bit-identical
     to serial for the same plan.
@@ -55,7 +54,7 @@ from typing import Dict, List, Optional, Tuple, Type
 import numpy as np
 
 from repro.api.backends import get_backend
-from repro.api.results import LayerTelemetry, merge_telemetry
+from repro.api.results import LayerTelemetry
 from repro.runtime import faults, transport
 from repro.runtime.env import env_int, env_str
 from repro.runtime.costmodel import (
@@ -67,7 +66,6 @@ from repro.runtime.costmodel import (
 )
 from repro.runtime.plan import (
     ExecutionPlan,
-    ShardPlan,
     compile_plan,
     group_vectorizable,
     run_stages,
@@ -153,12 +151,6 @@ def _worker_cap(workers: int) -> int:
     return max(1, min(workers, value))
 
 
-def _shard_plan_of(plan) -> ShardPlan:
-    """Accept either an :class:`ExecutionPlan` or a bare
-    :class:`ShardPlan` (legacy ``run_plan`` callers)."""
-    return getattr(plan, "shard_plan", plan)
-
-
 def _pool_context():
     """The multiprocessing context worker pools are built from.
 
@@ -233,7 +225,7 @@ class SerialScheduler:
         # rescue path every deadline recovery falls back to.
         lock = exec_lock if exec_lock is not None else threading.RLock()
         outputs: List[ShardResult] = []
-        for shard in _shard_plan_of(plan).shards:
+        for shard in plan.shards:
             # float64 conversion happens per shard so micro-batching
             # bounds peak memory on large requests.
             chunk = np.asarray(x[shard.start : shard.stop], dtype=np.float64)
@@ -259,7 +251,7 @@ class SerialScheduler:
 
 
 # ----------------------------------------------------------------------
-# Shard-parallel: the process pool (moved from repro.api.parallel).
+# Shard-parallel: the process pool.
 # ----------------------------------------------------------------------
 #: Per-worker-process state, populated by the pool initializer: each
 #: worker holds its own copy of the compiled network plus the inner
@@ -275,10 +267,7 @@ def _worker_init(
     lane_parent_fds: Optional[list] = None,
 ) -> None:
     """Pool initializer: receive the network once, resolve the inner
-    strategy. Runs in the worker process. The inner resolution bypasses
-    any dispatch override a forked worker inherited from the parent —
-    a worker must execute layers in-process, never recurse into
-    another pool. ``fault_plan`` (a serialized
+    strategy. Runs in the worker process. ``fault_plan`` (a serialized
     :class:`~repro.runtime.faults.FaultPlan`) arms the chaos harness in
     this worker; only the scheduler's *first* pool generation ships one,
     so rebuilt pools come up healthy.
@@ -291,7 +280,7 @@ def _worker_init(
     parent side open — EOF detection in both directions depends on
     exactly one owner per end."""
     _WORKER_STATE["network"] = network
-    _WORKER_STATE["strategy"] = get_backend(inner_backend, allow_override=False)
+    _WORKER_STATE["strategy"] = get_backend(inner_backend)
     _WORKER_STATE["lane_conns"] = lane_conns
     for fd in lane_parent_fds or []:
         try:
@@ -540,7 +529,7 @@ class ShardParallelScheduler:
             raise ValueError(f"transport must be 'shm' or 'pickle', got {transport!r}")
         self.workers = _worker_cap(int(workers or os.cpu_count() or 1))
         self.inner = inner
-        get_backend(inner, allow_override=False)  # fail fast on unknown names
+        get_backend(inner)  # fail fast on unknown names
         self.transport = transport
         self.recovery = recovery if recovery is not None else RetryPolicy.from_env()
         self._ring_slots = int(ring_slots)
@@ -591,9 +580,8 @@ class ShardParallelScheduler:
         (default: the policy's) bounds the wall time of the pool
         attempts; a blown deadline abandons the stragglers and
         re-executes serially."""
-        shard_plan = _shard_plan_of(plan)
         self._recovery_local.log = None
-        if shard_plan.batch_size == 0:
+        if plan.batch_size == 0:
             # N=0 draws nothing, so skip the reseed too: the shared
             # layers are left untouched (no lock needed) and the
             # (0, n_classes) output is identical to serial.
@@ -601,23 +589,23 @@ class ShardParallelScheduler:
             logits = run_stages(
                 network,
                 np.asarray(x[0:0], dtype=np.float64),
-                get_backend(self.inner, allow_override=False),
+                get_backend(self.inner),
                 new_rng(0),  # zero rows draw nothing; any fixed seed works
                 telemetry,
             )
             return [(logits, telemetry)]
         faults.fault_point(
             "scheduler.wave",
-            shards=len(shard_plan.shards),
-            rows=shard_plan.batch_size,
+            shards=len(plan.shards),
+            rows=plan.batch_size,
         )
         fallback = None
         if self.recovery.serial_fallback:
             fallback = lambda: self._serial_rescue(  # noqa: E731
-                network, x, shard_plan, exec_lock, rng
+                network, x, plan, exec_lock, rng
             )
         outputs, log = run_with_recovery(
-            lambda remaining: self._run_pool_once(network, x, shard_plan, remaining),
+            lambda remaining: self._run_pool_once(network, x, plan, remaining),
             policy=self.recovery,
             deadline_s=deadline_s,
             fallback=fallback,
@@ -630,7 +618,7 @@ class ShardParallelScheduler:
         self,
         network,
         x: np.ndarray,
-        shard_plan: ShardPlan,
+        plan,
         remaining: Optional[float],
     ) -> List[ShardResult]:
         """One pool attempt: publish, fan out *groups*, gather under
@@ -657,7 +645,7 @@ class ShardParallelScheduler:
         futures = []
         abandoned = False
         try:
-            groups = _split_groups(shard_plan.shards, self.workers)
+            groups = _split_groups(plan.shards, self.workers)
             lanes = self._lanes
             if lanes is not None and len(groups) <= len(lanes):
                 try:
@@ -839,7 +827,7 @@ class ShardParallelScheduler:
                 self._pool_network = None
 
     def _serial_rescue(
-        self, network, x: np.ndarray, shard_plan: ShardPlan, exec_lock, rng
+        self, network, x: np.ndarray, plan, exec_lock, rng
     ) -> List[ShardResult]:
         """In-process re-execution of the whole wave — always completes
         and is bit-identical to a pool run of the same plan, because
@@ -847,31 +835,11 @@ class ShardParallelScheduler:
         return self._serial.run_shards(
             network,
             x,
-            shard_plan,
-            strategy=get_backend(self.inner, allow_override=False),
+            plan,
+            strategy=get_backend(self.inner),
             exec_lock=exec_lock,
             rng=rng,
         )
-
-    def run_plan(
-        self,
-        network,
-        x: np.ndarray,
-        plan,
-        *,
-        exec_lock=None,
-        rng=None,
-        deadline_s: Optional[float] = None,
-    ):
-        """Merged ``(logits, telemetry)`` over the whole plan — the
-        shard-level backend protocol (:meth:`repro.api.Session.run`)."""
-        outputs = self.run_shards(
-            network, x, plan, exec_lock=exec_lock, rng=rng, deadline_s=deadline_s
-        )
-        parts = [logits for logits, _ in outputs]
-        telemetry = merge_telemetry(records for _, records in outputs)
-        logits = np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0]
-        return logits, telemetry
 
     def _ensure_pool(self, network) -> ProcessPoolExecutor:
         """The live pool for ``network``, (re)created under a lock so a
@@ -1313,12 +1281,10 @@ class AdaptiveScheduler:
         deadline_s: Optional[float] = None,
     ) -> List[ShardResult]:
         if not isinstance(plan, ExecutionPlan):
-            # Callers that hand over a bare ShardPlan (the daemon's
-            # legacy path) still get the chooser: compile the DAG here.
+            # Callers that hand over a bare ShardPlan still get the
+            # chooser: compile the DAG here.
             plan = compile_plan(
-                network,
-                _shard_plan_of(plan),
-                input_shape=np.asarray(x).shape[1:],
+                network, plan, input_shape=np.asarray(x).shape[1:]
             )
         choice = self._choose(plan, strategy)
         self._decisions.recovery = None

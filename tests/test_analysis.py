@@ -491,6 +491,44 @@ class TestRegistryContractRule:
         assert "literal True/False" in messages
 
 
+    def test_backend_must_be_run_layer_only(self, tmp_path):
+        new = findings_of(
+            tmp_path,
+            {
+                "src/repro/api/plugins.py": """
+                from repro.api.backends import register_backend
+
+                @register_backend("fine")
+                class Fine:
+                    def run_layer(self, layer, flat, *, rng, validate=None):
+                        return flat
+
+                @register_backend("pooled")
+                class Pooled:
+                    def run_layer(self, layer, flat, *, rng, validate=None):
+                        return flat
+
+                    def run_shards(self, *a, **k):
+                        return []
+
+                @register_backend("plan-only")
+                class PlanOnly:
+                    def run_plan(self, *a, **k):
+                        return None
+                """
+            },
+            ["registry-contract"],
+        )
+        messages = sorted(f.message for f in new)
+        assert len(new) == 3, messages
+        assert any("Pooled defines run_shards" in m for m in messages)
+        assert any("PlanOnly defines run_plan" in m for m in messages)
+        assert any(
+            "PlanOnly implements none of the protocol methods (run_layer)" in m
+            for m in messages
+        )
+
+
 class TestExceptionTaxonomyRule:
     def test_unclassifiable_raise(self, tmp_path):
         new = findings_of(

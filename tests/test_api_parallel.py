@@ -1,6 +1,7 @@
-"""Parallel shard execution, concurrent serving, and the PR's Engine
-correctness fixes (empty-batch accuracy, run_many labels, backend
-instance caching)."""
+"""Pool shard execution through ``ShardParallelScheduler``, the
+daemon's batch ``serve()`` report, the ``repro run --workers`` default
+scheduler, and Engine correctness fixes (empty-batch accuracy,
+run_many labels, backend instance caching)."""
 
 import warnings
 
@@ -9,12 +10,13 @@ import pytest
 
 from repro.api import (
     Engine,
-    Serving,
-    StochasticParallelBackend,
+    ServingDaemon,
     backend_aliases,
     get_backend,
     plan_shards,
 )
+from repro.api.engine import set_default_scheduler
+from repro.api.results import merge_telemetry
 from repro.hardware.accelerator import TiledLinearLayer
 from repro.hardware.config import HardwareConfig
 from repro.mapping.compiler import (
@@ -25,6 +27,7 @@ from repro.mapping.compiler import (
     compile_model,
 )
 from repro.mapping.executor import evaluate_accuracy
+from repro.runtime import ShardParallelScheduler
 from repro.utils.rng import new_rng
 
 from tests.test_mapping_compiler import quick_mlp  # noqa: F401  (fixture)
@@ -62,21 +65,30 @@ def request_data():
     return images, labels
 
 
+def run_merged(scheduler, network, images, plan):
+    """Merged ``(logits, telemetry)`` of one plan run on ``scheduler``."""
+    outputs = scheduler.run_shards(network, images, plan)
+    logits = np.concatenate([part for part, _ in outputs], axis=0)
+    return logits, merge_telemetry(records for _, records in outputs)
+
+
 class TestParallelDeterminism:
-    """Acceptance: N-worker `stochastic-parallel` output is bit-identical
-    to serial execution for the same Session seed."""
+    """Acceptance: N-worker ``ShardParallelScheduler`` output is
+    bit-identical to serial execution for the same Session seed."""
 
     def test_serial_vs_1_vs_4_workers_bit_identical(self, small_engine, request_data):
         images, _ = request_data
         serial = small_engine.session(seed=11).run(images)
         assert serial.micro_batches == 5
         for workers in (1, 4):
-            with StochasticParallelBackend(workers=workers) as backend:
-                parallel = small_engine.session(seed=11, backend=backend).run(images)
+            with ShardParallelScheduler(workers=workers) as scheduler:
+                parallel = small_engine.session(seed=11, scheduler=scheduler).run(
+                    images
+                )
             np.testing.assert_array_equal(
                 parallel.logits, serial.logits, err_msg=f"workers={workers}"
             )
-            assert parallel.backend == "stochastic-parallel"
+            assert parallel.backend == "stochastic"
             assert parallel.micro_batches == serial.micro_batches
 
     def test_parallel_trained_model_matches_serial(self, quick_mlp):
@@ -86,30 +98,30 @@ class TestParallelDeterminism:
         engine = Engine.from_model(model, micro_batch=16)
         images = test.images[:40]
         serial = engine.session(seed=5).run(images)
-        with StochasticParallelBackend(workers=2) as backend:
-            parallel = engine.session(seed=5, backend=backend).run(images)
+        with ShardParallelScheduler(workers=2) as scheduler:
+            parallel = engine.session(seed=5, scheduler=scheduler).run(images)
         np.testing.assert_array_equal(parallel.logits, serial.logits)
 
     def test_telemetry_merges_across_workers(self, small_engine, request_data):
         images, _ = request_data
         serial = small_engine.session(seed=3).run(images)
-        with StochasticParallelBackend(workers=4) as backend:
-            parallel = small_engine.session(seed=3, backend=backend).run(images)
+        with ShardParallelScheduler(workers=4) as scheduler:
+            parallel = small_engine.session(seed=3, scheduler=scheduler).run(images)
         assert parallel.total_windows == serial.total_windows
         assert len(parallel.layers) == len(serial.layers)
         assert [t.kind for t in parallel.layers] == [t.kind for t in serial.layers]
 
     def test_successive_parallel_runs_stay_stochastic(self, small_engine, request_data):
         images, _ = request_data
-        with StochasticParallelBackend(workers=2) as backend:
-            session = small_engine.session(seed=4, backend=backend)
+        with ShardParallelScheduler(workers=2) as scheduler:
+            session = small_engine.session(seed=4, scheduler=scheduler)
             a = session.run(images)
             b = session.run(images)
         assert not np.array_equal(a.logits, b.logits)
 
     def test_empty_request_through_parallel_backend(self, small_engine):
-        with StochasticParallelBackend(workers=2) as backend:
-            result = small_engine.session(seed=0, backend=backend).run(
+        with ShardParallelScheduler(workers=2) as scheduler:
+            result = small_engine.session(seed=0, scheduler=scheduler).run(
                 np.zeros((0, 64))
             )
         assert result.logits.shape == (0, 10)
@@ -120,17 +132,18 @@ class TestParallelDeterminism:
         serial = small_engine.session(seed=9).run(
             images, backend="stochastic-fused-batched"
         )
-        with StochasticParallelBackend(
+        with ShardParallelScheduler(
             workers=2, inner="stochastic-fused-batched"
-        ) as backend:
-            parallel = small_engine.session(seed=9, backend=backend).run(images)
+        ) as scheduler:
+            parallel = small_engine.session(seed=9, scheduler=scheduler).run(images)
         np.testing.assert_array_equal(parallel.logits, serial.logits)
+        assert parallel.backend == "stochastic-fused-batched"
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
-            StochasticParallelBackend(workers=0)
+            ShardParallelScheduler(workers=0)
         with pytest.raises(KeyError):
-            StochasticParallelBackend(inner="nonsense")
+            ShardParallelScheduler(inner="nonsense")
 
 
 class TestShardPlan:
@@ -163,8 +176,6 @@ class TestExpressLanes:
     recovery path."""
 
     def _warmed(self, network, **kwargs):
-        from repro.runtime import ShardParallelScheduler
-
         scheduler = ShardParallelScheduler(**kwargs)
         scheduler.warm(network)
         if scheduler._lanes is None:  # spawn-context host/thread state
@@ -180,12 +191,10 @@ class TestExpressLanes:
         plan_seed = 13
         with self._warmed(network, workers=2) as warmed:
             plan = plan_shards(len(images), 8, rng=new_rng(plan_seed))
-            lane_logits, _ = warmed.run_plan(network, images, plan)
-        from repro.runtime import ShardParallelScheduler
-
+            lane_logits, _ = run_merged(warmed, network, images, plan)
         with ShardParallelScheduler(workers=2) as cold:  # executor path
             plan = plan_shards(len(images), 8, rng=new_rng(plan_seed))
-            pool_logits, _ = cold.run_plan(network, images, plan)
+            pool_logits, _ = run_merged(cold, network, images, plan)
         np.testing.assert_array_equal(lane_logits, pool_logits)
 
     def test_severed_lane_rebuilds_and_recovers(self, small_engine, request_data):
@@ -196,12 +205,12 @@ class TestExpressLanes:
         network = small_engine.network
         with self._warmed(network, workers=1) as scheduler:
             plan = plan_shards(len(images), 8, rng=new_rng(5))
-            baseline, _ = scheduler.run_plan(network, images, plan)
+            baseline, _ = run_merged(scheduler, network, images, plan)
             generation = scheduler.pool_generation
             for proc in scheduler._pool._processes.values():
                 _os.kill(proc.pid, signal.SIGKILL)
             plan = plan_shards(len(images), 8, rng=new_rng(5))
-            recovered, _ = scheduler.run_plan(network, images, plan)
+            recovered, _ = run_merged(scheduler, network, images, plan)
             log = scheduler.last_recovery
             assert log is not None and log.recovered
             assert any(
@@ -213,19 +222,22 @@ class TestExpressLanes:
             scheduler.warm(network)
             assert scheduler._lanes is not None
             plan = plan_shards(len(images), 8, rng=new_rng(5))
-            relaned, _ = scheduler.run_plan(network, images, plan)
+            relaned, _ = run_merged(scheduler, network, images, plan)
             np.testing.assert_array_equal(relaned, baseline)
 
 
 class TestServing:
+    """The batch-at-once ``serve()`` report, served by the coalescing
+    daemon (child-seeded per request, like one session per request)."""
+
     def test_results_in_submission_order_with_accuracy(
         self, small_engine, request_data
     ):
         images, labels = request_data
         requests = [images[:8], images[8:24], images[24:40]]
         request_labels = [labels[:8], labels[8:24], labels[24:40]]
-        with Serving(small_engine, workers=3, seed=0) as front:
-            report = front.serve(requests, labels=request_labels)
+        with ServingDaemon(small_engine, seed=0, seed_per_request=True) as daemon:
+            report = daemon.serve(requests, labels=request_labels)
         assert [r.batch_size for r in report.results] == [8, 16, 16]
         assert report.n_requests == 3
         assert report.total_images == 40
@@ -237,53 +249,103 @@ class TestServing:
         assert summary["accuracy"] == report.accuracy
 
     def test_seeded_serving_replays_identically(self, small_engine, request_data):
-        """Thread scheduling must not leak into results: concurrent
-        requests interleave on the shared layers at shard granularity,
-        each shard pinned by its own child seed."""
+        """Wave boundaries must not leak into results: a burst that
+        coalesces and the same requests one at a time replay the same
+        child-seeded bits."""
         images, _ = request_data
         requests = [images[:12]] * 6
-        with Serving(small_engine, workers=4, seed=21) as front:
-            a = front.serve(requests)
-        with Serving(small_engine, workers=1, seed=21) as front:
-            b = front.serve(requests)
-        for left, right in zip(a.results, b.results):
+        with ServingDaemon(small_engine, seed=21, seed_per_request=True) as daemon:
+            a = daemon.serve(requests)
+        with ServingDaemon(small_engine, seed=21, seed_per_request=True) as daemon:
+            b = [daemon.submit(r).result(timeout=30) for r in requests]
+        for left, right in zip(a.results, b):
             np.testing.assert_array_equal(left.logits, right.logits)
 
     def test_serving_with_shared_parallel_backend(self, small_engine, request_data):
+        """Two daemons over one pool scheduler replay each other, and the
+        report counts the pool's workers."""
         images, labels = request_data
         requests = [images[:10], images[10:20], images[20:40]]
         request_labels = [labels[:10], labels[10:20], labels[20:40]]
-        with StochasticParallelBackend(workers=2) as backend:
-            with Serving(small_engine, workers=2, backend=backend, seed=1) as front:
-                report = front.serve(requests, labels=request_labels)
-            with Serving(small_engine, workers=3, backend=backend, seed=1) as front:
-                replay = front.serve(requests, labels=request_labels)
-        assert report.backend == "stochastic-parallel"
+        with ShardParallelScheduler(workers=2) as scheduler:
+            reports = []
+            for _ in range(2):
+                with ServingDaemon(
+                    small_engine, scheduler=scheduler, seed=1, seed_per_request=True
+                ) as daemon:
+                    reports.append(daemon.serve(requests, labels=request_labels))
+            assert scheduler.pool_generation == 1
+        report, replay = reports
+        assert report.backend == "stochastic"
+        assert report.workers == 2
         for left, right in zip(report.results, replay.results):
             np.testing.assert_array_equal(left.logits, right.logits)
 
     def test_unlabelled_serving_reports_no_accuracy(self, small_engine, request_data):
         images, _ = request_data
-        with Serving(small_engine, workers=2, seed=0) as front:
-            report = front.serve([images[:4], images[4:8]])
+        with ServingDaemon(small_engine, seed=0) as daemon:
+            report = daemon.serve([images[:4], images[4:8]])
         assert report.accuracy is None
         assert "accuracy" not in report.summary()
 
     def test_misaligned_labels_rejected(self, small_engine, request_data):
         images, labels = request_data
-        with Serving(small_engine, workers=2) as front:
+        with ServingDaemon(small_engine) as daemon:
             with pytest.raises(ValueError):
-                front.serve([images[:4]], labels=[labels[:4], labels[4:8]])
+                daemon.serve([images[:4]], labels=[labels[:4], labels[4:8]])
 
     def test_empty_request_list(self, small_engine):
-        with Serving(small_engine, workers=2) as front:
-            report = front.serve([])
+        with ServingDaemon(small_engine) as daemon:
+            report = daemon.serve([])
         assert report.n_requests == 0
         assert report.accuracy is None
+        assert report.waves == 0
 
-    def test_invalid_workers_rejected(self, small_engine):
-        with pytest.raises(ValueError):
-            Serving(small_engine, workers=0)
+
+class TestDefaultScheduler:
+    """``set_default_scheduler`` (what ``repro run --workers`` installs)
+    moves scheduler-less ``stochastic`` sessions onto the pool, and only
+    those."""
+
+    def test_stochastic_session_runs_on_installed_pool(
+        self, small_engine, request_data
+    ):
+        images, _ = request_data
+        serial = small_engine.session(seed=7).run(images)
+        with ShardParallelScheduler(workers=2) as pool:
+            previous = set_default_scheduler(pool)
+            try:
+                for backend in (None, "stochastic", "auto"):
+                    with small_engine.session(seed=7, backend=backend) as session:
+                        assert session._scheduler is pool
+                        pooled = session.run(images)
+                    np.testing.assert_array_equal(pooled.logits, serial.logits)
+                    assert pooled.backend == "stochastic"
+                assert pool.pool_generation == 1  # sessions never close it
+            finally:
+                assert set_default_scheduler(previous) is pool
+
+    def test_other_sessions_untouched(self, small_engine, request_data):
+        images, _ = request_data
+        with ShardParallelScheduler(workers=2) as pool:
+            previous = set_default_scheduler(pool)
+            try:
+                ideal = small_engine.session(backend="ideal")
+                explicit = small_engine.session(seed=7, scheduler="serial")
+                assert ideal._scheduler is not pool
+                assert explicit._scheduler is not pool
+                ideal.run(images)
+                explicit.run(images)
+                assert pool.pool_generation == 0  # never built
+            finally:
+                set_default_scheduler(previous)
+
+    def test_uninstall_restores_serial(self, small_engine):
+        with ShardParallelScheduler(workers=2) as pool:
+            previous = set_default_scheduler(pool)
+            set_default_scheduler(previous)
+        session = small_engine.session(seed=7)
+        assert session._scheduler.name == "serial"
 
 
 class TestEngineFixes:
@@ -343,13 +405,6 @@ class TestEngineFixes:
             assert get_backend(name) is get_backend(name), name
         assert get_backend("exact") is get_backend("ideal")
 
-    def test_stateful_backend_not_cached(self):
-        a = get_backend("stochastic-parallel")
-        b = get_backend("stochastic-parallel")
-        assert a is not b
-        a.close()
-        b.close()
-
     def test_aliases_listed(self):
         aliases = backend_aliases()
         assert aliases["exact"] == "ideal"
@@ -360,6 +415,6 @@ class TestEngineFixes:
 
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "stochastic-parallel" in out
+        assert "stochastic-batched" in out
         assert "exact" in out and "alias of 'ideal'" in out
         assert "auto" in out and "alias of 'stochastic'" in out

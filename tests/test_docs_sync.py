@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.rules.layering import LAYERS
+from repro.api.backends import available_backends, backend_aliases
 from repro.net import protocol
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -157,3 +158,28 @@ class TestDocsIndex:
         readme = (DOCS.parent / "README.md").read_text(encoding="utf-8")
         for target in ("docs/PROTOCOL.md", "docs/ARCHITECTURE.md"):
             assert target in readme, f"README.md must reference {target}"
+
+
+class TestReadmeBackends:
+    """README's backend table and alias sentence track the registry, so
+    adding or removing a backend without updating the docs fails here."""
+
+    @pytest.fixture(scope="class")
+    def readme(self):
+        return (DOCS.parent / "README.md").read_text(encoding="utf-8")
+
+    def test_backend_table_matches_registry(self, readme):
+        rows = _table_rows(readme, "| backend | what it does |")
+        assert sorted(_code(row[0]) for row in rows) == available_backends()
+
+    def test_alias_sentence_matches_registry(self, readme):
+        match = re.search(
+            r"((?:`[^`]+`(?:, | and )?)+) are accepted aliases of "
+            r"((?:`[^`]+`(?:, | and )?)+)",
+            readme,
+        )
+        assert match, "README.md must name the backend aliases"
+        aliases = re.findall(r"`([^`]+)`", match.group(1))
+        targets = re.findall(r"`([^`]+)`", match.group(2))
+        assert dict(zip(aliases, targets)) == backend_aliases()
+        assert len(aliases) == len(targets)

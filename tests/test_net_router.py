@@ -346,6 +346,46 @@ class TestBitIdentity:
                 got = router.try_submit(images, seed=11).result(timeout=30)
                 np.testing.assert_array_equal(got.logits, want.logits)
 
+    def test_per_replica_pool_schedulers_stay_warm(self, images):
+        """``repro serve --replicas 2 --serve-workers 2`` gives each
+        replica its own pool: alternating replicas must not rebuild
+        either pool (a pool holds one network), and every response
+        matches a serial session with the same seed."""
+        from argparse import Namespace
+
+        from repro.cli import _serve_target
+
+        args = Namespace(serve_workers=2, window_ms=0.0, max_queue=16, seed=0)
+        engines = [_engine(), _engine()]
+        router, schedulers = _serve_target(args, engines)
+        try:
+            assert isinstance(router, DaemonRouter)
+            assert len(schedulers) == 2
+            for seed in range(8):  # sticky by seed: replicas alternate
+                got = router.try_submit(images, seed=seed).result(timeout=60)
+                want = Session(engines[0], seed=seed).run(images)
+                np.testing.assert_array_equal(
+                    got.logits, want.logits, err_msg=f"seed {seed}"
+                )
+            assert [s.pool_generation for s in schedulers] == [1, 1]
+        finally:
+            router.close()
+            for scheduler in schedulers:
+                scheduler.close()
+
+    def test_single_worker_serve_target_has_no_pool(self, small_engine):
+        from argparse import Namespace
+
+        from repro.cli import _serve_target
+
+        args = Namespace(serve_workers=1, window_ms=10.0, max_queue=16, seed=0)
+        daemon, schedulers = _serve_target(args, [small_engine])
+        with daemon:
+            assert isinstance(daemon, ServingDaemon)
+            assert schedulers == []
+            assert daemon._scheduler.name == "serial"
+            assert daemon.backend == "stochastic"
+
     def test_failover_is_bit_identical(self, small_engine, images):
         """A request that fails over to another replica returns exactly
         the bits the original replica would have produced."""

@@ -415,12 +415,6 @@ class TestDaemonAdaptive:
             ).run(images[index * 8 : (index + 1) * 8])
             np.testing.assert_array_equal(result.logits, reference.logits)
 
-    def test_daemon_scheduler_needs_layer_level_backend(self, tiled_engine):
-        with pytest.raises(ValueError, match="layer-level"):
-            ServingDaemon(
-                tiled_engine, backend="stochastic-parallel", scheduler="adaptive"
-            ).close()
-
     def test_daemon_pool_scheduler_adopts_daemon_backend(
         self, tiled_engine, request_images
     ):

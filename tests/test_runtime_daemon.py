@@ -8,13 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import (
-    Engine,
-    Serving,
-    ServingDaemon,
-    Session,
-    StochasticParallelBackend,
-)
+from repro.api import Engine, ServingDaemon, Session
 from repro.hardware.accelerator import TiledLinearLayer
 from repro.hardware.config import HardwareConfig
 from repro.mapping.compiler import CompiledNetwork, HeadStage, LinearStage, SignStage
@@ -121,27 +115,34 @@ class TestCoalescingBitIdentity:
             np.testing.assert_array_equal(got.logits, want.logits)
 
     def test_seed_per_request_matches_serving_contract(self, small_engine, request_data):
-        """seed_per_request replays the thread-pool Serving front-end's
-        per-request child-seeded sessions bit for bit."""
+        """seed_per_request replays per-request child-seeded sessions bit
+        for bit: child seeds are drawn from the daemon seed in arrival
+        order, one generator draw per request."""
         images, labels = request_data
         requests, request_labels = _requests(images, labels)
-        with Serving(small_engine, workers=3, seed=21) as front:
-            reference = front.serve(requests, labels=request_labels)
+        gen = new_rng(21)
+        reference = [
+            Session(small_engine, seed=int(gen.integers(0, 2**63 - 1))).run(
+                request, labels=request_labels[index]
+            )
+            for index, request in enumerate(requests)
+        ]
         with ServingDaemon(
             small_engine, seed=21, seed_per_request=True, coalesce_window_s=0.1
         ) as daemon:
             report = daemon.serve(requests, labels=request_labels)
         assert report.waves is not None and report.waves >= 1
-        for got, want in zip(report.results, reference.results):
+        for got, want in zip(report.results, reference):
             np.testing.assert_array_equal(got.logits, want.logits)
+            assert got.accuracy == want.accuracy
 
     def test_daemon_over_process_pool_matches_serial(self, small_engine, request_data):
         images, _ = request_data
         requests = [images[:16], images[16:48]]
         reference = Session(small_engine, seed=4).run_many(requests)
-        with StochasticParallelBackend(workers=2) as backend:
+        with ShardParallelScheduler(workers=2) as scheduler:
             with ServingDaemon(
-                small_engine, backend=backend, seed=4, coalesce_window_s=0.1
+                small_engine, scheduler=scheduler, seed=4, coalesce_window_s=0.1
             ) as daemon:
                 results = daemon.run_many(requests)
         for got, want in zip(results, reference):
@@ -445,7 +446,7 @@ class TestSessionLifecycle:
             session.run_many([images[:8]])
 
     def test_close_is_idempotent(self, small_engine):
-        session = small_engine.session(seed=0, backend="stochastic-parallel")
+        session = small_engine.session(seed=0, scheduler="shard-parallel")
         session.close()
         session.close()  # second close must not blow up on the dead pool
 

@@ -259,10 +259,10 @@ class TestActivationTransport:
         """The transport moves bytes, never randomness: shm and pickle
         produce the same logits for the same plan."""
         with ShardParallelScheduler(workers=2, transport="shm") as shm:
-            a = tiled_engine.session(seed=5, backend=shm).run(request_images)
+            a = tiled_engine.session(seed=5, scheduler=shm).run(request_images)
             assert shm.transport == "shm"  # did not silently fall back
         with ShardParallelScheduler(workers=2, transport="pickle") as pickled:
-            b = tiled_engine.session(seed=5, backend=pickled).run(request_images)
+            b = tiled_engine.session(seed=5, scheduler=pickled).run(request_images)
         np.testing.assert_array_equal(a.logits, b.logits)
 
 
@@ -272,12 +272,6 @@ class TestSessionSchedulerIntegration:
         with tiled_engine.session(seed=13, scheduler="shard-parallel") as session:
             parallel = session.run(request_images)
         np.testing.assert_array_equal(parallel.logits, serial.logits)
-
-    def test_in_process_scheduler_rejects_shard_level_backend(self, tiled_engine):
-        with pytest.raises(ValueError, match="layer-level"):
-            tiled_engine.session(
-                backend="stochastic-parallel", scheduler="serial"
-            )
 
     def test_pool_scheduler_executes_session_backend(self, tiled_engine, request_images):
         """A session-built pool scheduler adopts the session backend —
@@ -307,11 +301,7 @@ class TestSessionSchedulerIntegration:
         np.testing.assert_array_equal(pooled.logits, serial.logits)
         assert pooled.backend == "stochastic-fused-batched"
 
-    def test_pool_scheduler_rejects_two_pools_and_run_overrides(self, tiled_engine, request_images):
-        with pytest.raises(ValueError, match="two pools"):
-            tiled_engine.session(
-                backend="stochastic-parallel", scheduler="shard-parallel"
-            )
+    def test_pool_scheduler_rejects_run_override(self, tiled_engine, request_images):
         with tiled_engine.session(scheduler="shard-parallel") as session:
             with pytest.raises(ValueError, match="per-run backend"):
                 session.run(request_images, backend="ideal")
