@@ -118,6 +118,7 @@ bench:
 # chosen by the cost model (no forcing), stay bit-identical to serial,
 # and its pooled/serial ratio must not drift >20% from the committed
 # BENCH_kernels.json trajectory. Machine-independent (ratio-based).
+# Fails when no committed run carries both reference rows.
 bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_smoke.py
 

@@ -18,11 +18,15 @@ the regression check compares the *pooled/serial ratio*: this run's
 recent committed run that carries both rows. A ratio drift >threshold
 fails the gate; the absolute times are printed for the log.
 
+A gate that cannot find its reference fails: when no committed run
+carries both rows (or the trajectory file is missing or unreadable)
+the script exits 1 without measuring. Record one with ``make bench``.
+
 Skipping: record the reference run with a label containing
 ``[skip-bench-smoke]`` (e.g. ``make bench
 BENCH_LABEL='... [skip-bench-smoke]'``) and the gate passes without
-measuring — the escape hatch for rows known to be unrepresentative
-(e.g. recorded on a loaded machine).
+measuring — the one escape hatch, for rows known to be
+unrepresentative (e.g. recorded on a loaded machine).
 """
 
 from __future__ import annotations
@@ -39,15 +43,22 @@ SERIAL_ROW = "test_perf_session_serial_stochastic"
 SKIP_TOKEN = "[skip-bench-smoke]"
 
 
+class MissingReference(Exception):
+    """No committed run the gate can compare against."""
+
+
 def reference_ratio(trajectory: pathlib.Path):
-    """(ratio, label) from the newest committed run carrying both rows,
-    or (None, reason) when the gate cannot (or should not) compare."""
+    """(ratio, label) from the newest committed run carrying both rows.
+
+    The ratio is None when that run is labeled ``[skip-bench-smoke]``.
+    Raises :class:`MissingReference` when there is no such run.
+    """
     if not trajectory.exists():
-        return None, f"no trajectory file at {trajectory}"
+        raise MissingReference(f"no trajectory file at {trajectory}")
     try:
         runs = json.loads(trajectory.read_text()).get("runs", [])
     except (json.JSONDecodeError, AttributeError):
-        return None, f"unreadable trajectory file at {trajectory}"
+        raise MissingReference(f"unreadable trajectory file at {trajectory}")
     for run in reversed(runs):
         rows = run.get("benchmarks", {})
         pooled = (rows.get(POOLED_ROW) or {}).get("min_s")
@@ -56,9 +67,12 @@ def reference_ratio(trajectory: pathlib.Path):
             continue
         label = run.get("label") or ""
         if SKIP_TOKEN in label:
-            return None, f"reference run labeled {SKIP_TOKEN}: {label!r}"
+            return None, label
         return pooled / serial, label
-    return None, "no committed run carries both the pooled and serial rows"
+    raise MissingReference(
+        f"no committed run in {trajectory} carries both {POOLED_ROW} "
+        f"and {SERIAL_ROW}"
+    )
 
 
 def measure(rounds: int):
@@ -149,9 +163,13 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    ref, label = reference_ratio(pathlib.Path(args.bench_json))
+    try:
+        ref, label = reference_ratio(pathlib.Path(args.bench_json))
+    except MissingReference as exc:
+        print(f"bench-smoke: FAIL ({exc}); record one with `make bench`")
+        return 1
     if ref is None:
-        print(f"bench-smoke: SKIP ({label})")
+        print(f"bench-smoke: SKIP (reference run labeled {SKIP_TOKEN}: {label!r})")
         return 0
     pooled_min, serial_min = measure(args.rounds)
     ratio = pooled_min / serial_min

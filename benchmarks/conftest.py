@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import pathlib
+import platform
 import subprocess
 
 import pytest
@@ -66,6 +68,17 @@ def _derived_label() -> str:
         return "unlabeled (no git metadata)"
 
 
+def _host() -> dict:
+    """The fingerprint a timing row needs to be compared at all."""
+    import numpy
+
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
 def _stats_summary(bench) -> dict:
     data = bench.as_dict(include_data=False, stats=True)
     stats = data.get("stats", {})
@@ -98,6 +111,7 @@ def pytest_sessionfinish(session, exitstatus):
                 timespec="seconds"
             ),
             "label": label,
+            "host": _host(),
             "benchmarks": {
                 bench.name: _stats_summary(bench)
                 for bench in bench_session.benchmarks

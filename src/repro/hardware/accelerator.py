@@ -119,7 +119,7 @@ class TiledLinearLayer(RngMixin):
                 _allow_wide=True,
             )
             padded = np.zeros(
-                (self.n_row_tiles * cs, self.out_features), dtype=np.float64
+                (self.n_row_tiles * cs, self.out_features), dtype=np.float32
             )
             padded[: self.in_features] = w
             self._fused_weights = np.ascontiguousarray(
@@ -316,6 +316,12 @@ class TiledLinearLayer(RngMixin):
         paths (:meth:`_forward_fused`, :meth:`forward_fused_batched`)
         route through here so padding/validation cannot drift between
         them. Returns ``(values, batch_size)``.
+
+        The matmul runs in float32. That is exact: activations are in
+        {-1, 0, +1} and weights are +-1, so every partial sum is an
+        integer with ``|v| <= Cs``, far below float32's 2**24 limit for
+        consecutive integers. Consumers that need float64 (the
+        probability law) upcast, so no sampled bit changes.
         """
         a = self._normalize_activations(activations)
         check_activation_alphabet(a, self.config, validate)
@@ -323,10 +329,10 @@ class TiledLinearLayer(RngMixin):
         cs = self.config.crossbar_size
         padded_in = self.n_row_tiles * cs
         if padded_in != self.in_features:
-            a_pad = np.zeros((n, padded_in), dtype=np.float64)
+            a_pad = np.zeros((n, padded_in), dtype=np.float32)
             a_pad[:, : self.in_features] = a
         else:
-            a_pad = a.astype(np.float64, copy=False)
+            a_pad = a.astype(np.float32)
         strips = a_pad.reshape(n, self.n_row_tiles, cs).transpose(1, 0, 2)
         return np.ascontiguousarray(strips) @ self._fused_weights, n
 

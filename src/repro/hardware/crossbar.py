@@ -189,7 +189,9 @@ class CrossbarArray(RngMixin):
         return self._probabilities_from_values(v)
 
     def _probabilities_from_values(self, v: np.ndarray) -> np.ndarray:
-        z = v * self._z_scale - self._z_offset
+        # float32 column values (the fused strip matmul) are upcast
+        # first, so the probabilities carry the same float64 bits.
+        z = v.astype(np.float64, copy=False) * self._z_scale - self._z_offset
         return 0.5 + 0.5 * special.erf(z)
 
     def expected_output(self, activations) -> np.ndarray:
@@ -299,7 +301,9 @@ class CrossbarArray(RngMixin):
         if bits < 1:
             raise ValueError(f"window_bits must be >= 1, got {bits}")
         v = self.column_values(activations, validate=validate)
-        return self._sample_counts_for_values(v, bits)
+        # The kernel's count dtype is internal (uint8 on the quantile
+        # path); the public result stays int64.
+        return self._sample_counts_for_values(v, bits).astype(np.int64, copy=False)
 
     def _sample_counts_for_values(
         self, v: np.ndarray, bits: int, u: Optional[np.ndarray] = None
@@ -313,7 +317,9 @@ class CrossbarArray(RngMixin):
         backend and the grouped shard executor pass pre-drawn batches
         here; without it the sampler draws from its own generator,
         exactly as before. The inverse-CDF math itself lives in
-        :mod:`repro.sc.binomial`.
+        :mod:`repro.sc.binomial`. The count dtype depends on the path
+        taken (``uint8`` from the quantile table, ``intp`` from the
+        binary search, ``int64`` from ``Generator.binomial``).
         """
         cdf = self._count_cdf_table(bits)
         if cdf is None:
@@ -327,11 +333,12 @@ class CrossbarArray(RngMixin):
         # Column values of valid activations are exactly integral floats,
         # so truncation is exact; with validation disabled, garbage is
         # clamped to the saturated laws instead of wrapping into another
-        # row's CDF.
-        idx = v.astype(np.intp)
+        # row's CDF. The quantile kernel builds its gather index in idx's
+        # dtype, and its table has fewer than 2**31 entries: int32 there.
+        quant = self._count_quant_table(bits)
+        idx = v.astype(np.intp if quant is None else np.int32)
         idx += self.rows
         np.clip(idx, 0, 2 * self.rows, out=idx)
-        quant = self._count_quant_table(bits)
         if quant is None:
             if u is None:
                 u = self.rng.random(idx.shape)

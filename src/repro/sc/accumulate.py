@@ -49,6 +49,9 @@ from repro.circuits.apc import ApproximateParallelCounter
 from repro.circuits.comparator import BinaryComparator
 from repro.sc.packed import packed_word_count
 
+#: How many uint8 counts can be summed in uint16 without wrapping.
+_UINT16_SAFE_TERMS = np.iinfo(np.uint16).max // np.iinfo(np.uint8).max
+
 
 class ScAccumulationModule:
     """Accumulate K per-crossbar stochastic outputs into one binary value.
@@ -96,6 +99,10 @@ class ScAccumulationModule:
         ``counts`` has shape ``(K, ...)`` — each entry the number of
         ones one tile produced over its L-bit window (e.g. from
         :meth:`~repro.hardware.crossbar.CrossbarArray.sample_window_counts`).
+        Any integer dtype works. The fused sampler hands over ``uint8``
+        counts; up to 257 of them sum in ``uint16`` (257 * 255 = 65535,
+        so the total cannot wrap), which is faster than numpy's default
+        promotion to the platform integer. More terms take that default.
         Only valid for the exact APC: the approximate OR compression
         undercounts based on bit coincidences that totals cannot
         reconstruct, so that configuration must go through
@@ -112,6 +119,8 @@ class ScAccumulationModule:
             raise ValueError(
                 f"expected counts of shape ({self.n_crossbars}, ...), got {c.shape}"
             )
+        if c.dtype == np.uint8 and c.shape[0] <= _UINT16_SAFE_TERMS:
+            return self.comparator.compare(c.sum(axis=0, dtype=np.uint16))
         return self.comparator.compare(c.sum(axis=0))
 
     def count_window_packed(self, words: np.ndarray) -> np.ndarray:

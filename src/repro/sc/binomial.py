@@ -21,6 +21,15 @@ serves three callers without drift:
 Both count kernels take the uniforms as an argument: who owns the
 randomness is the caller's contract, the inverse-CDF math is shared.
 
+Dtypes are internal to the kernel. :func:`counts_by_quantile` builds its
+gather index in the dtype of the value-row index it is given (the
+sampler passes ``int32``: the table has fewer than 2**31 entries),
+returns ``uint8`` counts, and resolves stepped bins through flat
+indices. :func:`counts_by_search` works in ``intp``. The samples are the
+same whatever the dtypes: same uniforms, same tables, same counts.
+Public entry points (``CrossbarArray.sample_window_counts``) return
+``int64``.
+
 Draw-batching contract
 ----------------------
 ``numpy``'s ``Generator.random`` fills its output from a sequential
@@ -88,29 +97,39 @@ def counts_by_quantile(
     on the last axis; ``u`` the uniforms in ``[0, 1)`` of ``idx``'s
     shape; ``col_ids`` the ``(cols,)`` column indices.
 
+    The gather index ``(idx * cols + col) * M + bin`` is built in
+    ``idx``'s dtype in one multiply and two in-place adds. The sampler
+    passes ``int32`` (the table has fewer than 2**31 entries, so a
+    narrower index halves the passes' memory traffic); ``intp`` works
+    too. The counts come back as ``uint8``: the table's low 7 bits hold
+    every count, since ``L <= 127``.
+
     Unstepped bins return the exact count directly; the rare elements
     whose uniform lands in a stepped bin (a CDF level inside the bin)
     are resolved against the full CDF row with the *same* uniform, so
-    the sample stays exactly Binomial. ``u < 1`` guarantees the bin
-    index stays in range (``u * M`` is an exact power-of-two scaling,
-    so it cannot round up to ``M``) — no clamp pass is spent on it.
+    the sample stays exactly Binomial. They are found by flat index
+    (``np.flatnonzero``), and their law is ``gather index // M``, so no
+    boolean mask or broadcast column grid is built. ``u < 1``
+    guarantees the bin index stays in range (``u * M`` is an exact
+    power-of-two scaling, so it cannot round up to ``M``) — no clamp
+    pass is spent on it.
     """
     n = cdf.shape[-1] - 1
     cols = col_ids.shape[-1]
     m_bins = quant.shape[-1]
-    bins = (u * m_bins).astype(np.intp)
-    # law = idx * cols + col_ids, folded into the gather index in place.
-    law = idx * cols
-    law += col_ids
-    law *= m_bins
-    law += bins
-    entry = quant.reshape(-1)[law]
-    counts = (entry & 0x7F).astype(np.int64)
-    flagged = entry >= 0x80
-    if flagged.any():
-        cell = idx[flagged] * cols + np.broadcast_to(col_ids, idx.shape)[flagged]
-        rows = cdf.reshape(-1, n + 1)[cell]
-        counts[flagged] = (rows[:, :n] <= u[flagged][:, None]).sum(axis=-1)
+    law = idx * (cols * m_bins)
+    law += (col_ids * m_bins).astype(law.dtype, copy=False)
+    law += (u * m_bins).astype(law.dtype)
+    # np.take, not fancy indexing: the latter converts an int32 index
+    # to intp first, which costs more than the narrow passes save.
+    entry = np.take(quant.reshape(-1), law)
+    counts = entry & 0x7F
+    stepped = np.flatnonzero(entry >= 0x80)
+    if stepped.size:
+        cell = law.reshape(-1)[stepped] // m_bins
+        rows = cdf.reshape(-1, n + 1)[cell, :n]
+        levels = u.reshape(-1)[stepped][:, None]
+        np.put(counts, stepped, (rows <= levels).sum(axis=-1))
     return counts
 
 
