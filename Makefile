@@ -15,11 +15,10 @@
 # in-process watchdog via REPRO_TEST_TIMEOUT — see tests/conftest.py —
 # so minimal CI containers still get the ceiling; the tier includes the
 # network serving tests, which drive real sockets through the asyncio
-# front-end); `make bench-serving` sweeps the network tier's offered
-# load with SERVE_CLIENTS concurrent connections — against the single
-# daemon and a 2-replica DaemonRouter (SERVE_REPLICAS) — and writes the
-# latency/saturation rows to BENCH_serving.json; `make perfbench-smoke`
-# runs the benchmark harness's smoke check (perfbench/run.py --smoke);
+# front-end); `make perfbench-smoke` runs the benchmark harness's smoke
+# check (perfbench/run.py --smoke) — the wire benchmark itself is
+# `perfbench/run.py --workload wire-trickle|wire-load`, which drives
+# `repro serve` open loop and bit-checks every response;
 # `make docs-sync`
 # asserts docs/PROTOCOL.md + docs/ARCHITECTURE.md against the source
 # constants and docs/ENVIRONMENT.md against ENV_CATALOG (the CI
@@ -71,7 +70,7 @@ CHAOS_TIMEOUT ?= 600
 CHAOS_TESTS := tests/test_runtime_faults.py tests/test_runtime_chaos.py
 TIMEOUT_BIN := $(shell command -v timeout 2>/dev/null)
 
-.PHONY: test bench bench-serving bench-smoke perfbench-smoke lint lint-static check check-runtime check-chaos coverage docs-sync
+.PHONY: test bench bench-smoke perfbench-smoke lint lint-static check check-runtime check-chaos coverage docs-sync
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q $(PYTEST_FLAGS)
@@ -129,20 +128,6 @@ bench-smoke:
 # here instead of at the next benchmark run.
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --smoke
-
-# Network serving latency/throughput sweep: N concurrent clients drive
-# the asyncio front-end over the framed wire protocol (in-process
-# server) against each topology in SERVE_REPLICAS (single daemon, then
-# a routed replica cluster), verify every response — including
-# reassembled streamed responses — bit-identical to serial Sessions,
-# and write the p50/p95/p99 + saturation rows to BENCH_serving.json.
-SERVE_CLIENTS ?= 8
-SERVE_REPLICAS ?= 1 2
-bench-serving:
-	REPRO_MAX_POOL_WORKERS=2 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli \
-		serve-bench --clients $(SERVE_CLIENTS) --connect \
-		--replicas $(SERVE_REPLICAS) \
-		--requests 16 --batch 32 --epochs 2 --json BENCH_serving.json
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

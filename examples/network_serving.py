@@ -26,9 +26,10 @@ example:
 6. routes over **two replica daemons** with a :class:`DaemonRouter`
    and shows the topology is invisible on the wire,
 7. shows policed back-pressure: a rate-limited client sees a retryable
-   error frame instead of a hung socket,
-8. sweeps offered load with the multi-client generator and prints the
-   p50/p95/p99 latency rows that ``serve-bench --connect`` records.
+   error frame instead of a hung socket.
+
+For latency under load, run the wire benchmark:
+``python3 perfbench/run.py --workload wire-load``.
 
 Run:  python examples/network_serving.py
 """
@@ -48,7 +49,6 @@ from repro.net import (
     ServerThread,
     StreamPartial,
     StreamProgress,
-    run_load_point,
 )
 
 
@@ -119,18 +119,6 @@ def main() -> None:
         print(
             f"reassembled stream == in-process: "
             f"{np.array_equal(streamed.logits, local.logits)}"
-        )
-
-        # 8. Load sweep: what serve-bench --connect measures -----------
-        point, _ = run_load_point(
-            host, port, clients=4, n_requests=16, pool=[batch], seed_base=500
-        )
-        row = point.as_row()
-        print(
-            f"closed loop, 4 clients: {row['achieved_rps']:.1f} req/s, "
-            f"p50={row['latency_p50_ms']:.1f}ms "
-            f"p95={row['latency_p95_ms']:.1f}ms "
-            f"p99={row['latency_p99_ms']:.1f}ms"
         )
     daemon.close(drain=True)
 

@@ -24,9 +24,9 @@ Façade over model compilation, execution, and metrics:
   ``try_submit`` feed the network tier's load shedding.
 * network serving tier (:mod:`repro.net`) — the framed wire protocol,
   the asyncio :class:`~repro.net.server.NetworkServer` ingestion
-  front-end with per-client quotas and rate limiting, sync/async
-  clients, and the multi-client load generator behind
-  ``repro serve-bench --connect``.
+  front-end with per-client quotas and rate limiting, the
+  :class:`~repro.net.router.DaemonRouter` over replica daemons, and
+  sync/async clients.
 * runtime subsystem (:mod:`repro.runtime`) — explicit
   :class:`ExecutionPlan` task DAGs (:func:`compile_plan`), pluggable
   schedulers (``"serial"`` / ``"shard-parallel"`` / ``"tile-parallel"``

@@ -40,20 +40,17 @@ set)::
     python -m repro.cli serve-bench --workers 1 2 4 --requests 8
     python -m repro.cli serve-bench --json serve_bench.json
 
-With ``--connect`` the benchmark goes over the wire instead: ``N``
-concurrent clients drive the asyncio :class:`~repro.net.server.NetworkServer`
-through the framed protocol, sweeping offered load (closed-loop
-saturation probe, then paced fractions), recording p50/p95/p99 latency
-and saturation throughput into ``BENCH_serving.json`` — and verifying
-every response bit-identical against in-process serial ``Session`` runs
-with the same explicit seeds::
+Every ``daemon-parallel`` response must equal the matching
+``daemon-coalesced`` one bit for bit; ``serve-bench`` prints
+``bit-identity: N/N`` and exits 1 on any mismatch.
 
-    python -m repro.cli serve-bench --clients 8 --connect        # in-process server
-    python -m repro.cli serve-bench --clients 8 --connect host:7433
-
-``serve`` runs that network front-end in the foreground::
+``serve`` runs the asyncio network front-end in the foreground::
 
     python -m repro.cli serve --port 7433 --rate-limit 200
+
+The wire benchmark is ``perfbench/run.py --workload wire-trickle`` or
+``--workload wire-load``: an open-loop generator against ``serve`` that
+bit-checks every response.
 """
 
 from __future__ import annotations
@@ -224,8 +221,7 @@ def _serving_row(mode: str, report, stats: dict) -> dict:
 
 
 def _cmd_serve_bench(args) -> int:
-    if args.connect is not None:
-        return _serve_bench_network(args)
+    import numpy as np
 
     from repro.api import ServingDaemon
     from repro.runtime.scheduler import ShardParallelScheduler
@@ -247,10 +243,22 @@ def _cmd_serve_bench(args) -> int:
         report = daemon.serve(requests, labels=labels)
         rows.append(("daemon-coalesced", report, daemon.stats.as_dict()))
     for workers in args.workers:
+        # A prewarmed pool keeps worker start-up out of the timed run.
         with ShardParallelScheduler(workers=workers) as scheduler:
-            with ServingDaemon(engine, scheduler=scheduler, **daemon_kwargs) as daemon:
+            with ServingDaemon(
+                engine, scheduler=scheduler, prewarm=True, **daemon_kwargs
+            ) as daemon:
                 report = daemon.serve(requests, labels=labels)
                 rows.append(("daemon-parallel", report, daemon.stats.as_dict()))
+
+    # Same seed, seed_per_request: every parallel response must replay
+    # the coalesced one bit for bit.
+    reference = rows[0][1].results
+    checked = matched = 0
+    for _, report, _ in rows[1:]:
+        for got, want in zip(report.results, reference):
+            checked += 1
+            matched += np.array_equal(got.logits, want.logits)
 
     print(
         f"\n{'mode':<17} {'backend':<21} {'workers':>7} {'wall(s)':>8} "
@@ -290,265 +298,14 @@ def _cmd_serve_bench(args) -> int:
         with open(args.json, "w") as fh:
             fh.write(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}")
-    return 0
-
-
-def _serve_bench_network(args) -> int:
-    """``serve-bench --clients N --connect``: drive the asyncio network
-    front-end over the framed wire protocol, sweep offered load, and
-    verify every response — streamed ones reassembled from PARTIAL
-    slices — bit-identical to serial ``Session`` runs.
-
-    ``--replicas`` takes one or more counts (``--replicas 1 2``): each
-    count gets its own in-process server run — a single daemon for 1, a
-    :class:`~repro.net.router.DaemonRouter` over that many replica
-    daemons otherwise — so one report compares topologies on the same
-    machine, same model, same request pool.
-    """
-    import numpy as np
-
-    from repro.api import Engine, ServingDaemon, Session
-    from repro.net import DaemonRouter, ServerThread, sweep_load
-    from repro.runtime.env import env_int
-
-    engine, test, software_accuracy, model = _bench_engine(args)
-    pool, labels_pool = _request_pool(args, test)
-
-    in_process = args.connect == "auto"
-    verify = in_process and not args.no_verify
-    seed_base = first_seed_base = 10_000 + args.seed
-    stream_every = max(0, args.stream_every)
-    points_per_run = 1 + len(args.load_fractions)
-    daemon_kwargs = dict(
-        backend="stochastic",
-        coalesce_window_s=args.window_ms / 1e3,
-        max_queue=args.max_queue,
+    print(
+        f"bit-identity: {matched}/{checked} daemon-parallel responses match "
+        f"daemon-coalesced"
     )
-
-    runs = []  # one entry per topology: replica count, points, stats
-    if not in_process:
-        host, sep, port_text = args.connect.rpartition(":")
-        if not sep or not port_text.isdigit():
-            print(
-                f"--connect must be HOST:PORT or bare (in-process server), "
-                f"got {args.connect!r}",
-                file=sys.stderr,
-            )
-            return 2
-        port = int(port_text)
-        print(
-            f"external server {host}:{port}: bit-identity verification "
-            f"is skipped (the remote model is not inspectable)"
-        )
-        points = sweep_load(
-            host,
-            port,
-            clients=args.clients,
-            requests_per_point=args.requests,
-            pool=pool,
-            labels_pool=labels_pool,
-            seed_base=seed_base,
-            load_fractions=tuple(args.load_fractions),
-            keep_logits=verify,
-            stream_every=stream_every,
-        )
-        runs.append(
-            {
-                "replicas": 0,  # unknown: remote topology
-                "points": points,
-                "seed_base": seed_base,
-                "server_stats": {},
-                "daemon_stats": {},
-                "router_stats": None,
-            }
-        )
-    else:
-        replica_counts = list(
-            args.replicas or [env_int("REPRO_ROUTER_REPLICAS", 1, minimum=1)]
-        )
-        for n_replicas in replica_counts:
-            if n_replicas < 1:
-                print(f"--replicas must be >= 1, got {n_replicas}", file=sys.stderr)
-                return 2
-            router = None
-            if n_replicas == 1:
-                target = ServingDaemon(
-                    engine, name="replica-0", seed=args.seed, **daemon_kwargs
-                )
-            else:
-                # Replica 0 reuses the reference engine; the rest are
-                # compiled fresh from the same trained model (identical
-                # weights + compile seed => identical seeded responses).
-                engines = [engine] + [
-                    Engine.from_model(model) for _ in range(n_replicas - 1)
-                ]
-                router = DaemonRouter.build(engines, seed=args.seed, **daemon_kwargs)
-                target = router
-            server_thread = ServerThread(
-                target,
-                max_inflight_per_client=args.quota,
-                rate_limit_rps=args.rate_limit,
-            )
-            server_stats = daemon_stats = {}
-            router_stats = None
-            try:
-                host, port = server_thread.start()
-                print(
-                    f"\nin-process network server on {host}:{port} "
-                    f"({n_replicas} replica{'s' if n_replicas != 1 else ''})"
-                )
-                points = sweep_load(
-                    host,
-                    port,
-                    clients=args.clients,
-                    requests_per_point=args.requests,
-                    pool=pool,
-                    labels_pool=labels_pool,
-                    seed_base=seed_base,
-                    load_fractions=tuple(args.load_fractions),
-                    keep_logits=verify,
-                    stream_every=stream_every,
-                )
-            finally:
-                if server_thread.server is not None:
-                    server_stats = server_thread.server.stats.as_dict()
-                server_thread.close()
-                target.close(drain=True)
-                if router is not None:
-                    daemon_stats = router.aggregate_daemon_stats().as_dict()
-                    router_stats = router.stats.as_dict()
-                else:
-                    daemon_stats = target.stats.as_dict()
-            runs.append(
-                {
-                    "replicas": n_replicas,
-                    "points": points,
-                    "seed_base": seed_base,
-                    "server_stats": server_stats,
-                    "daemon_stats": daemon_stats,
-                    "router_stats": router_stats,
-                }
-            )
-            seed_base += points_per_run * args.requests
-
-    for run in runs:
-        tag = (
-            "remote"
-            if run["replicas"] == 0
-            else f"{run['replicas']} replica{'s' if run['replicas'] != 1 else ''}"
-        )
-        print(
-            f"\n[{tag}] {'point':<14} {'offered(r/s)':>12} {'done':>5} "
-            f"{'shed':>5} {'fail':>5} {'ach(r/s)':>9} {'img/s':>9} "
-            f"{'p50(ms)':>8} {'p95(ms)':>8} {'p99(ms)':>8}"
-        )
-        for point, _ in run["points"]:
-            row = point.as_row()
-            offered = (
-                "closed" if not row["offered_rps"] else f"{row['offered_rps']:.1f}"
-            )
-            print(
-                f"{'':>{len(tag) + 3}}{row['label']:<14} {offered:>12} "
-                f"{row['completed']:>5} {row['rejected']:>5} {row['failed']:>5} "
-                f"{row['achieved_rps']:>9.2f} {row['images_per_s']:>9.1f} "
-                f"{row['latency_p50_ms']:>8.1f} {row['latency_p95_ms']:>8.1f} "
-                f"{row['latency_p99_ms']:>8.1f}"
-            )
-        saturation = run["points"][0][0]
-        print(
-            f"  saturation[{tag}]: {saturation.achieved_rps:.2f} req/s "
-            f"({saturation.images_per_s:.1f} img/s) with {args.clients} clients"
-        )
-    if len(runs) > 1:
-        base = runs[0]["points"][0][0].achieved_rps
-        for run in runs[1:]:
-            rate = run["points"][0][0].achieved_rps
-            if base > 0:
-                print(
-                    f"scaling: {run['replicas']} replicas at {rate:.2f} req/s "
-                    f"= {rate / base:.2f}x the {runs[0]['replicas']}-replica "
-                    f"saturation ({base:.2f} req/s)"
-                )
-
-    verification = None
-    exit_code = 0
-    if verify:
-        checked = matched = streamed_checked = 0
-        for run in runs:
-            for _, records in run["points"]:
-                for record in records:
-                    if not record.ok or record.logits is None:
-                        continue
-                    want = Session(engine, seed=record.seed).run(
-                        pool[record.pool_index]
-                    )
-                    checked += 1
-                    if record.streamed:
-                        streamed_checked += 1
-                    if np.array_equal(record.logits, want.logits):
-                        matched += 1
-        verification = {
-            "checked": checked,
-            "matched": matched,
-            "streamed_checked": streamed_checked,
-            "bit_identical": bool(checked) and matched == checked,
-        }
-        print(
-            f"bit-identity: {matched}/{checked} wire responses "
-            f"({streamed_checked} reassembled from streams) match serial "
-            f"in-process Session runs with the same seeds"
-        )
-        if matched != checked:
-            print("BIT-IDENTITY VIOLATION", file=sys.stderr)
-            exit_code = 1
-
-    rows = []
-    for run in runs:
-        for point, _ in run["points"]:
-            row = point.as_row()
-            row["replicas"] = run["replicas"]
-            rows.append(row)
-    last = runs[-1]
-    out_path = args.json or "BENCH_serving.json"
-    payload = {
-        "config": {
-            "clients": args.clients,
-            "connect": args.connect,
-            "replicas": [run["replicas"] for run in runs],
-            "stream_every": stream_every,
-            "requests_per_point": args.requests,
-            "batch": args.batch,
-            "epochs": args.epochs,
-            "crossbar_size": args.crossbar_size,
-            "window_bits": args.window_bits,
-            "coalesce_window_ms": args.window_ms,
-            "load_fractions": list(args.load_fractions),
-            "seed": args.seed,
-            # The base used by the FIRST topology run (each later run
-            # starts at the previous base + points_per_run * requests;
-            # the per-run base is recorded in each runs[] entry).
-            "seed_base": first_seed_base,
-            "software_accuracy": software_accuracy,
-        },
-        "rows": rows,
-        "verification": verification,
-        "server_stats": _to_jsonable(last["server_stats"]),
-        "daemon_stats": _to_jsonable(last["daemon_stats"]),
-        "runs": [
-            {
-                "replicas": run["replicas"],
-                "seed_base": run["seed_base"],
-                "server_stats": _to_jsonable(run["server_stats"]),
-                "daemon_stats": _to_jsonable(run["daemon_stats"]),
-                "router_stats": _to_jsonable(run["router_stats"]),
-            }
-            for run in runs
-        ],
-    }
-    with open(out_path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out_path}")
-    return exit_code
+    if matched != checked:
+        print("BIT-IDENTITY VIOLATION", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _serve_target(args, engines):
@@ -1034,61 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         default=None,
         metavar="PATH",
-        help="dump the report rows to PATH as JSON (network mode "
-        "defaults to BENCH_serving.json)",
+        help="dump the report rows to PATH as JSON",
     )
-    p.add_argument(
-        "--clients",
-        type=int,
-        default=4,
-        metavar="N",
-        help="concurrent client connections in network mode",
-    )
-    p.add_argument(
-        "--connect",
-        nargs="?",
-        const="auto",
-        default=None,
-        metavar="HOST:PORT",
-        help="benchmark over the network: HOST:PORT targets a running "
-        "'repro serve'; bare --connect spawns an in-process server and "
-        "verifies every response bit-identical to serial Session runs",
-    )
-    p.add_argument(
-        "--load-fractions",
-        type=float,
-        nargs="+",
-        default=[0.5, 0.9],
-        dest="load_fractions",
-        metavar="F",
-        help="paced sweep points as fractions of measured saturation",
-    )
-    p.add_argument(
-        "--no-verify",
-        action="store_true",
-        dest="no_verify",
-        help="skip the per-response bit-identity check (network mode)",
-    )
-    p.add_argument(
-        "--replicas",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="N",
-        help="replica counts to benchmark in network mode (e.g. "
-        "'--replicas 1 2' compares a single daemon against a 2-replica "
-        "router in one report; default: REPRO_ROUTER_REPLICAS or 1)",
-    )
-    p.add_argument(
-        "--stream-every",
-        type=int,
-        default=4,
-        dest="stream_every",
-        metavar="K",
-        help="request every K-th network request as a streamed (PARTIAL) "
-        "response, reassembled client-side and bit-verified (0 = never)",
-    )
-    _add_server_policy_args(p)
     p.set_defaults(func=_cmd_serve_bench)
 
     p = sub.add_parser(
@@ -1125,7 +829,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="longest a request waits to share a wave while one is "
         "running (milliseconds); an idle daemon dispatches at once",
     )
-    _add_server_policy_args(p)
+    p.add_argument(
+        "--max-queue",
+        type=int,
+        default=256,
+        dest="max_queue",
+        help="daemon admission-queue depth",
+    )
+    p.add_argument(
+        "--quota",
+        type=int,
+        default=32,
+        help="per-connection in-flight request ceiling",
+    )
+    p.add_argument(
+        "--rate-limit",
+        type=float,
+        default=None,
+        dest="rate_limit",
+        metavar="RPS",
+        help="per-connection token-bucket rate limit (requests/second)",
+    )
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -1190,32 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lint_static)
 
     return parser
-
-
-def _add_server_policy_args(p) -> None:
-    """Admission-policy flags shared by ``serve`` and network-mode
-    ``serve-bench``."""
-    p.add_argument(
-        "--max-queue",
-        type=int,
-        default=256,
-        dest="max_queue",
-        help="daemon admission-queue depth",
-    )
-    p.add_argument(
-        "--quota",
-        type=int,
-        default=32,
-        help="per-connection in-flight request ceiling",
-    )
-    p.add_argument(
-        "--rate-limit",
-        type=float,
-        default=None,
-        dest="rate_limit",
-        metavar="RPS",
-        help="per-connection token-bucket rate limit (requests/second)",
-    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:

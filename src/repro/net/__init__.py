@@ -23,10 +23,10 @@ The ingestion edge in front of the runtime's
   :class:`AsyncNetworkClient` (multiplexed asyncio) plus
   :class:`RemoteResult` / :class:`RemoteError` and the
   ``infer_stream`` consumers.
-* :mod:`repro.net.loadgen` — the multi-client load generator behind
-  ``repro serve-bench --clients N --connect``: closed-loop saturation
-  probe + paced sweep, p50/p95/p99 latency, ``BENCH_serving.json``
-  rows, deterministic per-request seeds for bit-identity verification.
+
+The wire benchmark lives outside the library: ``perfbench/run.py
+--workload wire-trickle|wire-load`` drives ``repro serve`` with an
+open-loop generator and bit-checks every response.
 """
 
 from repro.net.client import (
@@ -36,13 +36,6 @@ from repro.net.client import (
     RemoteResult,
     StreamPartial,
     StreamProgress,
-)
-from repro.net.loadgen import (
-    LoadPoint,
-    RequestRecord,
-    percentile,
-    run_load_point,
-    sweep_load,
 )
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -119,9 +112,4 @@ __all__ = [
     "RemoteError",
     "StreamProgress",
     "StreamPartial",
-    "LoadPoint",
-    "RequestRecord",
-    "run_load_point",
-    "sweep_load",
-    "percentile",
 ]

@@ -143,10 +143,9 @@ ENV_CATALOG: Dict[str, EnvVar] = {
         kind="int",
         default="unset (1 — no router)",
         description=(
-            "Default replica count for the network serving CLI "
-            "(`repro serve` / `serve-bench --connect`): values >= 2 put "
+            "Default replica count for `repro serve`: values >= 2 put "
             "a DaemonRouter over that many ServingDaemon replicas. "
-            "Explicit --replicas flags win. Must be >= 1."
+            "An explicit --replicas flag wins. Must be >= 1."
         ),
         consumer="repro.cli",
     ),

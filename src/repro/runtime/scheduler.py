@@ -49,6 +49,7 @@ from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import resource_tracker
 from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -870,6 +871,11 @@ class ShardParallelScheduler:
                 # lanes and keep executor dispatch.
                 lane_pairs = []
                 if context.get_start_method() == "fork":
+                    # Start the resource tracker before forking so the
+                    # workers' shm attaches register with the parent's
+                    # tracker; a worker forked first starts its own and
+                    # warns about the parent's unlinked segments at exit.
+                    resource_tracker.ensure_running()
                     lane_pairs = [
                         context.Pipe(duplex=True) for _ in range(self.workers)
                     ]

@@ -23,6 +23,7 @@ from repro.hardware.config import HardwareConfig
 from repro.mapping.compiler import CompiledNetwork, HeadStage, LinearStage, SignStage
 from repro.net import (
     AsyncNetworkClient,
+    DaemonRouter,
     FrameDecoder,
     NetworkClient,
     RemoteError,
@@ -31,7 +32,6 @@ from repro.net import (
     StreamProgress,
     protocol,
 )
-from repro.net.loadgen import percentile, run_load_point
 from repro.utils.rng import new_rng
 
 
@@ -113,29 +113,49 @@ class TestWireBitIdentity:
         assert got.accuracy == want.accuracy
         assert got.summary["total_windows"] == want.total_windows
 
+    @pytest.mark.parametrize("replicas", [1, 2], ids=["daemon", "router-2"])
     def test_concurrent_clients_all_bit_identical(
-        self, small_engine, request_data
+        self, small_engine, request_data, replicas
     ):
-        """Multiple clients, coalesced waves, explicit per-request
-        seeds: every wire response replays serially."""
+        """Three concurrent clients, coalesced waves, explicit
+        per-request seeds, every other request streamed: every wire
+        response replays serially, over one daemon or a 2-replica
+        router."""
         images, _ = request_data
         pool = [images[:8], images[8:24], images[24:48]]
-        with serving_stack(small_engine) as (host, port, _):
-            point, records = run_load_point(
-                host,
-                port,
-                clients=3,
-                n_requests=9,
-                pool=pool,
-                seed_base=500,
+        if replicas == 1:
+            target = ServingDaemon(small_engine, seed=0, coalesce_window_s=0.01)
+        else:
+            target = DaemonRouter.build(
+                [small_engine] * replicas, seed=0, coalesce_window_s=0.01
             )
-        assert point.completed == 9
-        assert point.failed == 0
-        for record in records:
-            want = Session(small_engine, seed=record.seed).run(
-                pool[record.pool_index]
-            )
-            np.testing.assert_array_equal(record.logits, want.logits)
+        thread = ServerThread(target, stream_chunk_rows=8)
+        got = {}
+
+        def client_loop(host, port, index):
+            with NetworkClient(host, port) as client:
+                for k in range(index, 9, 3):
+                    batch = pool[k % len(pool)]
+                    infer = client.infer_streamed if k % 2 else client.infer
+                    got[k] = infer(batch, seed=500 + k).logits
+
+        try:
+            host, port = thread.start()
+            clients = [
+                threading.Thread(target=client_loop, args=(host, port, index))
+                for index in range(3)
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=60)
+        finally:
+            thread.close()
+            target.close(drain=True)
+        assert sorted(got) == list(range(9))
+        for k, logits in got.items():
+            want = Session(small_engine, seed=500 + k).run(pool[k % len(pool)])
+            np.testing.assert_array_equal(logits, want.logits)
 
     def test_async_client_multiplexes_one_connection(
         self, small_engine, request_data
@@ -363,8 +383,6 @@ class TestStreamingDelivery:
         """The server over a 2-replica DaemonRouter: streamed and plain
         responses both replay serially — topology is invisible on the
         wire."""
-        from repro.net import DaemonRouter
-
         images, _ = request_data
         router = DaemonRouter.build(
             [small_engine, small_engine],
@@ -578,8 +596,6 @@ class TestDisconnectContainment:
         """Closing the server while a client is still connected cancels
         that connection's handler; the cancellation must end cleanly
         instead of reaching the event loop's exception handler."""
-        from repro.net import DaemonRouter
-
         images, _ = request_data
         loop_errors = []
         router = DaemonRouter.build(
@@ -614,32 +630,3 @@ class TestDisconnectContainment:
         assert stats.responses == 2
         assert stats.errors_sent == 0
         assert stats.as_dict()["responses"] == 2
-
-
-class TestLoadGenerator:
-    def test_percentile_nearest_rank(self):
-        values = [0.1, 0.2, 0.3, 0.4]
-        assert percentile(values, 50) == 0.2
-        assert percentile(values, 100) == 0.4
-        assert percentile([], 99) == 0.0
-
-    def test_load_point_row_schema_is_fully_populated(
-        self, small_engine, request_data
-    ):
-        images, _ = request_data
-        with serving_stack(small_engine) as (host, port, _):
-            point, _ = run_load_point(
-                host, port, clients=2, n_requests=4, pool=[images[:8]]
-            )
-        row = point.as_row()
-        expected = {
-            "label", "clients", "offered_rps", "n_requests", "completed",
-            "rejected", "failed", "streamed", "total_images", "wall_time_s",
-            "achieved_rps", "images_per_s", "latency_mean_ms",
-            "latency_p50_ms", "latency_p95_ms", "latency_p99_ms",
-            "latency_max_ms",
-        }
-        assert set(row) == expected
-        assert row["completed"] == 4
-        assert row["rejected"] == 0 and row["failed"] == 0
-        assert row["latency_p99_ms"] >= row["latency_p50_ms"] > 0.0

@@ -1,7 +1,12 @@
 """ServingDaemon: queueing, coalescing bit-identity, failure isolation,
 shutdown semantics, and Session lifecycle guarantees."""
 
+import json
+import os
 import queue
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -433,6 +438,65 @@ class TestWarmPoolReuse:
             assert scheduler.pool_generation == generation
         for got, want in zip(results, reference):
             np.testing.assert_array_equal(got.logits, want.logits)
+
+    def test_warmed_fork_pool_exits_without_tracker_warnings(self):
+        """A pool warmed from a single-threaded process forks its
+        workers; their shm attaches must land in the parent's resource
+        tracker, or each worker's own tracker warns about the parent's
+        unlinked segments at exit."""
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.api import Engine
+            from repro.hardware.accelerator import TiledLinearLayer
+            from repro.hardware.config import HardwareConfig
+            from repro.mapping.compiler import CompiledNetwork, LinearStage, SignStage
+            from repro.runtime import ShardParallelScheduler
+
+            cfg = HardwareConfig(crossbar_size=16, gray_zone_ua=10.0, window_bits=8)
+            rng = np.random.default_rng(0)
+            layer = TiledLinearLayer(cfg, np.sign(rng.standard_normal((64, 48))), seed=1)
+            engine = Engine(
+                CompiledNetwork([SignStage(), LinearStage(layer=layer)], cfg),
+                micro_batch=8,
+            )
+            with ShardParallelScheduler(workers=2) as scheduler:
+                scheduler.warm(engine.network)
+                engine.session(seed=0, scheduler=scheduler).run(
+                    rng.standard_normal((32, 64))
+                )
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+
+
+class TestServeBenchCli:
+    def test_serve_bench_rows_share_a_schema_and_bits(self, tmp_path, capsys):
+        """``repro serve-bench`` runs a coalesced and a prewarmed
+        parallel daemon, bit-checks one against the other, and writes
+        two rows with the same key set."""
+        from repro import cli
+
+        out = tmp_path / "serve_bench.json"
+        code = cli.main(
+            [
+                "serve-bench", "--workers", "2", "--requests", "2",
+                "--batch", "8", "--epochs", "1", "--json", str(out),
+            ]
+        )
+        assert code == 0
+        assert "bit-identity: 2/2" in capsys.readouterr().out
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["mode"] for row in rows] == [
+            "daemon-coalesced", "daemon-parallel",
+        ]
+        assert set(rows[0]) == set(rows[1])
 
 
 class TestSessionLifecycle:
