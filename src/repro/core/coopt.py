@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, stats
 
 from repro.device.attenuation import AttenuationModel
 from repro.hardware.config import HardwareConfig
@@ -58,6 +57,10 @@ def average_mismatch_error(
     dvin = float(attenuation.value_domain_gray_zone(cs, gray_zone_ua))
     mu = cs * activation_mean
     sigma = math.sqrt(cs) * activation_std
+    # Local: scipy.stats/integrate add ~1 s and ~45 MB to any import
+    # (2-vCPU host), and only this Sec. 5.4 integral needs them.
+    from scipy import integrate, stats
+
     density = stats.norm(loc=mu, scale=sigma)
 
     def integrand(x: float) -> float:

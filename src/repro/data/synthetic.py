@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.utils.rng import SeedLike, new_rng
 
@@ -67,6 +66,10 @@ def _smooth_prototypes(
     n_classes: int, channels: int, height: int, width: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Low-pass-filtered noise prototypes, normalized to unit max-abs."""
+    # Local: scipy.ndimage is only needed to build synthetic datasets,
+    # so importing repro (and serving) does not pay for it.
+    from scipy import ndimage
+
     protos = rng.normal(size=(n_classes, channels, height, width))
     sigma = max(min(height, width) / 8.0, 0.8)
     protos = ndimage.gaussian_filter(protos, sigma=(0, 0, sigma, sigma))
