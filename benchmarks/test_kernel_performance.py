@@ -340,7 +340,6 @@ def test_perf_daemon_coalesced(benchmark, shard_engine, serving_requests):
         backend="stochastic",
         seed=0,
         seed_per_request=True,
-        coalesce_window_s=0.0,
     ) as daemon:
         daemon.serve(serving_requests)  # warm
         benchmark.pedantic(

@@ -2,13 +2,12 @@
 """Queued serving daemon walkthrough: submission, coalescing, shutdown.
 
 The runtime's :class:`~repro.runtime.daemon.ServingDaemon` is the
-long-lived serving loop: a bounded request queue, a two-stage consumer
-pipeline, and
-work-conserving coalescing. An idle daemon dispatches a request at
+long-lived serving loop: a bounded request queue, one consumer thread,
+and work-conserving coalescing. An idle daemon dispatches a request at
 once, with whatever else is already queued; while a wave runs,
-arrivals wait (at most the coalescing window) and are merged into the
-next execution *wave* — concatenated activations, appended shard
-plans — while every request keeps its own shard boundaries and seeds,
+arrivals queue up and leave together as the next execution *wave* —
+concatenated activations, appended shard plans — while every request
+keeps its own shard boundaries and seeds,
 so coalesced logits are **bit-identical** to running the same requests
 uncoalesced through a serial ``Session``. This example:
 
@@ -49,9 +48,7 @@ def main() -> None:
         requests.append(test.images[idx])
         labels.append(test.labels[idx])
 
-    with ServingDaemon(
-        engine, seed=7, coalesce_window_s=0.02, max_queue=32
-    ) as daemon:
+    with ServingDaemon(engine, seed=7, max_queue=32) as daemon:
         futures = [
             daemon.submit(request, labels=request_labels)
             for request, request_labels in zip(requests, labels)
@@ -72,7 +69,7 @@ def main() -> None:
     print(f"coalesced == uncoalesced serial session: {identical}")
 
     # 4. Failure isolation + graceful shutdown ------------------------
-    daemon = ServingDaemon(engine, seed=7, coalesce_window_s=0.02)
+    daemon = ServingDaemon(engine, seed=7)
     good = daemon.submit(requests[0])
     bad = daemon.submit(np.full((4, 9), 0.5))  # wrong fan-in: this one fails
     tail = daemon.submit(requests[1])

@@ -9,7 +9,10 @@ front of the :class:`~repro.runtime.daemon.ServingDaemon`::
        ▲                                                │ waves
        └── response / PARTIAL / PROGRESS frames ◀───────┘
 
-Every request carries an explicit seed, so a response that crossed the
+A served request crosses two threads: the server's event loop decodes
+and submits it, and the daemon's consumer thread plans and executes its
+wave and encodes the response as soon as the result lands. Every
+request carries an explicit seed, so a response that crossed the
 wire, was coalesced into a wave with strangers, was routed to any of N
 replica daemons, and came back on a multiplexed connection — whole or
 as streamed row-slices — is still **bit-identical** to
@@ -68,7 +71,7 @@ def main() -> None:
     batch = test.images[rng.integers(0, len(test.images), size=32)]
 
     # 2. Daemon + asyncio server on an ephemeral port ------------------
-    daemon = ServingDaemon(engine, seed=0, coalesce_window_s=0.01)
+    daemon = ServingDaemon(engine, seed=0)
     # stream_chunk_rows: slice streamed responses into 8-row PARTIALs
     # (default REPRO_STREAM_CHUNK_ROWS=32 would fit this batch in one).
     with ServerThread(daemon, stream_chunk_rows=8) as (host, port):
@@ -128,9 +131,7 @@ def main() -> None:
     # router routes sticky by seed, spills past full queues, and fails
     # over evicted replicas transparently.
     router = DaemonRouter.build(
-        [engine, Engine.from_model(model, micro_batch=32)],
-        seed=0,
-        coalesce_window_s=0.01,
+        [engine, Engine.from_model(model, micro_batch=32)], seed=0
     )
     with ServerThread(router) as (host, port):
         with NetworkClient(host, port) as client:
@@ -150,7 +151,7 @@ def main() -> None:
     router.close(drain=True)
 
     # 7. Policed back-pressure: retryable error frames -----------------
-    daemon = ServingDaemon(engine, seed=0, coalesce_window_s=0.01)
+    daemon = ServingDaemon(engine, seed=0)
     with ServerThread(daemon, rate_limit_rps=0.01, rate_burst=1) as (host, port):
         with NetworkClient(host, port) as client:
             client.infer(batch, seed=1)  # spends the only token

@@ -18,10 +18,10 @@ Façade over model compilation, execution, and metrics:
   queued serving with work-conserving batch coalescing; coalesced
   waves are bit-identical to uncoalesced serial execution for seeded
   daemons, and :meth:`ServingDaemon.serve` wraps a batch in a
-  :class:`ServingReport` of throughput telemetry. A second consumer
-  overlaps wave assembly with wave execution, and the live
-  ``queue_depth`` / ``in_flight`` gauges plus non-blocking
-  ``try_submit`` feed the network tier's load shedding.
+  :class:`ServingReport` of throughput telemetry. One consumer thread
+  plans and executes each wave, and the live ``queue_depth`` /
+  ``in_flight`` gauges plus non-blocking ``try_submit`` feed the
+  network tier's load shedding.
 * network serving tier (:mod:`repro.net`) — the framed wire protocol,
   the asyncio :class:`~repro.net.server.NetworkServer` ingestion
   front-end with per-client quotas and rate limiting, the

@@ -229,7 +229,6 @@ def _cmd_serve_bench(args) -> int:
     engine, test, software_accuracy, _ = _bench_engine(args)
     requests, labels = _request_pool(args, test)
 
-    window_s = args.window_ms / 1e3
     rows = []  # (mode, ServingReport, daemon-stats dict)
     # Requests merge into waves, bit-identical to per-request child-seeded
     # sessions, whichever scheduler runs them.
@@ -237,7 +236,6 @@ def _cmd_serve_bench(args) -> int:
         backend="stochastic",
         seed=args.seed,
         seed_per_request=True,
-        coalesce_window_s=window_s,
     )
     with ServingDaemon(engine, **daemon_kwargs) as daemon:
         report = daemon.serve(requests, labels=labels)
@@ -287,7 +285,6 @@ def _cmd_serve_bench(args) -> int:
                 "epochs": args.epochs,
                 "crossbar_size": args.crossbar_size,
                 "window_bits": args.window_bits,
-                "coalesce_window_ms": args.window_ms,
                 "seed": args.seed,
                 "software_accuracy": software_accuracy,
             },
@@ -332,7 +329,6 @@ def _serve_target(args, engines):
             engine,
             name=f"replica-{index}",
             backend="stochastic",
-            coalesce_window_s=args.window_ms / 1e3,
             max_queue=args.max_queue,
             **kwargs,
         )
@@ -780,14 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-bits", type=int, default=8, dest="window_bits")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--window-ms",
-        type=float,
-        default=10.0,
-        dest="window_ms",
-        help="longest a request waits to share a wave while one is "
-        "running (milliseconds); an idle daemon dispatches at once",
-    )
-    p.add_argument(
         "--json",
         default=None,
         metavar="PATH",
@@ -824,10 +812,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--window-ms",
         type=float,
-        default=10.0,
+        default=None,
         dest="window_ms",
-        help="longest a request waits to share a wave while one is "
-        "running (milliseconds); an idle daemon dispatches at once",
+        help="ignored: the daemon coalesces whatever is queued when its "
+        "consumer frees up, with no window; kept so old command lines parse",
     )
     p.add_argument(
         "--max-queue",

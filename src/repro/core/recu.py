@@ -62,8 +62,8 @@ class ReCU:
         """Eq. 17: clamp to the [Q(1-tau), Q(tau)] quantile interval."""
         if not 0.5 < tau <= 1.0:
             raise ValueError(f"tau must be in (0.5, 1], got {tau}")
-        q_hi = np.quantile(weights, tau)
-        q_lo = np.quantile(weights, 1.0 - tau)
+        # One call partitions the weights once for both bounds.
+        q_lo, q_hi = np.quantile(weights, [1.0 - tau, tau])
         return np.clip(weights, q_lo, q_hi)
 
     def apply_to_parameters(self, parameters: Iterable[Parameter], epoch: int) -> float:

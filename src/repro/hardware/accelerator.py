@@ -81,7 +81,10 @@ class TiledLinearLayer(RngMixin):
         # reseeding never pay K*J eager PCG64 constructions. The draw
         # order and per-seed streams match the old spawn_rng exactly.
         child_seeds = self.rng.integers(0, 2**63 - 1, size=self.n_row_tiles * self.n_col_tiles)
-        self.tiles: List[List[CrossbarArray]] = []
+        self._tiles: List[List[CrossbarArray]] = []
+        # Child seeds drawn by reseed_sampling, applied on the next read
+        # of ``tiles`` (the fused path never reads them).
+        self._pending_tile_seeds: Optional[np.ndarray] = None
         for i in range(self.n_row_tiles):
             row: List[CrossbarArray] = []
             rows_slice = slice(i * cs, min((i + 1) * cs, self.in_features))
@@ -95,7 +98,7 @@ class TiledLinearLayer(RngMixin):
                     seed=int(child_seeds[i * self.n_col_tiles + j]),
                 )
                 row.append(tile)
-            self.tiles.append(row)
+            self._tiles.append(row)
 
         self.module = ScAccumulationModule(
             n_crossbars=self.n_row_tiles,
@@ -130,6 +133,21 @@ class TiledLinearLayer(RngMixin):
         self.n_inferences = 0
 
     # ------------------------------------------------------------------
+    @property
+    def tiles(self) -> List[List[CrossbarArray]]:
+        """The crossbar grid, ``tiles[i][j]`` for row tile ``i`` and
+        column tile ``j``. Reading it first applies the tile seeds the
+        last :meth:`reseed_sampling` drew. The apply is not thread-safe:
+        read ``tiles`` once before handing tiles to other threads."""
+        seeds = self._pending_tile_seeds
+        if seeds is not None:
+            self._pending_tile_seeds = None
+            for tile, seed in zip(
+                (t for row in self._tiles for t in row), seeds.tolist()
+            ):
+                tile.reseed(seed)
+        return self._tiles
+
     def _normalize_activations(self, activations: np.ndarray) -> np.ndarray:
         a = np.asarray(activations)
         # int8 +-1 buffers (the executor's working dtype) pass through
@@ -343,14 +361,17 @@ class TiledLinearLayer(RngMixin):
         the fused sampler's from it, so two layers reseeded with the
         same value replay identical stochastic draws regardless of prior
         use. :class:`repro.api.Session` uses this to own RNG state.
+
+        The fused sampler is reseeded at once; the tile seeds are drawn
+        now (the stream is the same) but applied on the next read of
+        :attr:`tiles`, so the fused path, which never reads them, pays
+        one reseed per layer.
         """
         self.reseed(seed)
         children = self.rng.integers(
             0, 2**63 - 1, size=self.n_row_tiles * self.n_col_tiles + 1
         )
-        for i in range(self.n_row_tiles):
-            for j in range(self.n_col_tiles):
-                self.tiles[i][j].reseed(int(children[i * self.n_col_tiles + j]))
+        self._pending_tile_seeds = children[:-1]
         if self._fused_sampler is not None:
             self._fused_sampler.reseed(int(children[-1]))
 

@@ -7,11 +7,14 @@ bridges each admitted request into the daemon's bounded queue with
 :meth:`~repro.runtime.daemon.ServingDaemon.try_submit` — the
 *non-blocking* submission path, so a full queue becomes a retryable
 ``queue-full`` error frame on the wire instead of a stalled event loop.
-Resolved futures stream back on their originating connection via a
-per-connection outbox task; the daemon's consumer threads resolve
-futures off-loop and hand them to the loop with
-``call_soon_threadsafe``, so no coroutine ever blocks on
-``Future.result()``.
+A future's done-callback runs on the daemon thread that resolved it:
+for a plain response it encodes the RESPONSE frame right there, while
+that thread is still warm, and hands the bytes to the loop with one
+``call_soon_threadsafe``; no coroutine ever blocks on
+``Future.result()``. The loop thread writes every frame straight to
+the connection's transport, so frames go out in the order the loop
+handles them, and the read loop awaits ``drain()`` before it reads the
+next frame, so a client that stops reading stops being read.
 
 Failure containment mirrors the daemon's: a malformed frame gets a
 final ``protocol-error`` frame and the connection closes; a client that
@@ -50,10 +53,6 @@ import numpy as np
 from repro.net import protocol
 from repro.runtime.env import env_int
 from repro.runtime.recovery import QueueFull, classify
-
-#: Sentinel closing a connection's outbox.
-_CLOSE = object()
-
 
 class TokenBucket:
     """Classic token-bucket rate limiter (monotonic clock).
@@ -109,18 +108,19 @@ class ServerStats:
 
 
 class _Connection:
-    """Per-connection policing + ordered write-back state."""
+    """Per-connection policing + write-back state."""
 
-    def __init__(self, server: "NetworkServer") -> None:
+    def __init__(self, server: "NetworkServer", writer) -> None:
         self.bucket = TokenBucket(server.rate_limit_rps, server.rate_burst)
         self.inflight = 0
         self.closed = False
-        self.outbox: asyncio.Queue = asyncio.Queue()
+        self.writer = writer
 
-    def send(self, data) -> None:
-        """Queue one encoded frame (or deferred encoder) for writing."""
+    def send(self, data: bytes) -> None:
+        """Write one encoded frame (event-loop thread only): frames go
+        out whole, in call order."""
         if not self.closed:
-            self.outbox.put_nowait(data)
+            self.writer.write(data)
 
 
 class NetworkServer:
@@ -232,11 +232,10 @@ class NetworkServer:
     async def _handle(self, reader, writer) -> None:
         self._bump("connections")
         self._bump("open_connections")
-        conn = _Connection(self)
+        conn = _Connection(self, writer)
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
-        sender = asyncio.create_task(self._sender(conn, writer))
         last_request_id = 0
         try:
             while True:
@@ -250,6 +249,7 @@ class NetworkServer:
                 )
                 frame = protocol.decode_payload(kind, request_id, payload)
                 self._dispatch(conn, frame)
+                await writer.drain()
         except (
             asyncio.IncompleteReadError,
             ConnectionResetError,
@@ -271,38 +271,18 @@ class NetworkServer:
                 raise
         finally:
             conn.closed = True
-            conn.outbox.put_nowait(_CLOSE)
-            try:
-                await asyncio.wait_for(sender, timeout=5.0)
-            # taxonomy: fatal — teardown; any failure just cancels the sender
-            except (asyncio.TimeoutError, asyncio.CancelledError, Exception):
-                sender.cancel()
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            except asyncio.CancelledError:
+                # aclose() may also land here, after the client left.
+                if not self._closing:
+                    raise
             self._bump("open_connections", -1)
             if task is not None:
                 self._conn_tasks.discard(task)
-
-    async def _sender(self, conn: _Connection, writer) -> None:
-        """Single writer per connection: frames go out whole and in
-        completion order, and response encoding happens here — never
-        inside a daemon consumer thread."""
-        while True:
-            item = await conn.outbox.get()
-            if item is _CLOSE:
-                return
-            data = item() if callable(item) else item
-            if data is None:
-                continue
-            try:
-                writer.write(data)
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                conn.closed = True
-                return
 
     # ------------------------------------------------------------------
     def _send_error(
@@ -375,11 +355,25 @@ class NetworkServer:
             self._send_error(conn, rid, protocol.ERR_BAD_REQUEST, str(exc))
             return
         conn.inflight += 1
-        loop = self._loop
         future.add_done_callback(
-            lambda fut, c=conn, r=rid, s=frame.stream: loop.call_soon_threadsafe(
-                self._resolved, c, r, fut, s
+            lambda fut, c=conn, r=rid, s=frame.stream: self._on_done(c, r, fut, s)
+        )
+
+    def _on_done(
+        self, conn: _Connection, request_id: int, future, stream: bool
+    ) -> None:
+        """Done-callback, on the thread that resolved the future (the
+        daemon's consumer): encode a plain response there, then hand
+        it to the loop. ``protocol.encode_response`` is looked up at
+        call time so instrumentation can wrap it."""
+        data = None
+        if not stream and not conn.closed and future.exception() is None:
+            result = future.result()
+            data = protocol.encode_response(
+                request_id, result.logits, _wire_summary(result)
             )
+        self._loop.call_soon_threadsafe(
+            self._resolved, conn, request_id, future, stream, data
         )
 
     def _progress(
@@ -392,9 +386,15 @@ class NetworkServer:
         conn.send(protocol.encode_progress(request_id, stage, detail))
 
     def _resolved(
-        self, conn: _Connection, request_id: int, future, stream: bool = False
+        self,
+        conn: _Connection,
+        request_id: int,
+        future,
+        stream: bool,
+        data: Optional[bytes],
     ) -> None:
-        """Runs on the event loop once the daemon resolves a future."""
+        """Runs on the event loop once the daemon resolves a future;
+        ``data`` is the plain response already encoded off-loop."""
         conn.inflight -= 1
         if conn.closed:
             # The client left before its answer arrived: drop it. The
@@ -425,18 +425,12 @@ class NetworkServer:
         if stream:
             self._stream_result(conn, request_id, result)
             return
-        # Defer the (logits -> bytes) encode to the sender coroutine.
-        conn.send(
-            lambda r=result, rid=request_id: protocol.encode_response(
-                rid, r.logits, _wire_summary(r)
-            )
-        )
+        conn.send(data)
 
     def _stream_result(self, conn: _Connection, request_id: int, result) -> None:
         """Deliver one result as PARTIAL row-slices (the last slice
-        carries the summary). Slices are queued in order on the
-        single-writer outbox, so they arrive contiguous and in
-        sequence; encoding stays deferred to the sender coroutine."""
+        carries the summary). The slices are written back to back on
+        the loop thread, so they arrive contiguous and in sequence."""
         self._bump("streamed_responses")
         chunk = self.stream_chunk_rows
         total = result.logits.shape[0]
@@ -445,15 +439,13 @@ class NetworkServer:
             last = seq == len(offsets) - 1
             self._bump("partials_sent")
             conn.send(
-                lambda r=result, rid=request_id, o=offset, s=seq, l=last, c=chunk: (
-                    protocol.encode_partial(
-                        rid,
-                        r.logits[o : o + c],
-                        offset=o,
-                        seq=s,
-                        last=l,
-                        summary=_wire_summary(r) if l else None,
-                    )
+                protocol.encode_partial(
+                    request_id,
+                    result.logits[offset : offset + chunk],
+                    offset=offset,
+                    seq=seq,
+                    last=last,
+                    summary=_wire_summary(result) if last else None,
                 )
             )
 

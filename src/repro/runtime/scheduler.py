@@ -1036,12 +1036,15 @@ class _TileSplitStrategy:
             return self._base.run_layer(layer, flat, rng=rng, validate=validate)
         chunks = layer._split_activations(flat)
         n = chunks[0].shape[0]
+        # Read once, here: the read applies pending tile seeds, which
+        # must not happen concurrently inside the tile threads.
+        tiles = layer.tiles
 
         def one_tile(j: int) -> np.ndarray:
             if self._dense:
                 streams = np.stack(
                     [
-                        layer.tiles[i][j].sample_window(chunks[i], validate=validate)
+                        tiles[i][j].sample_window(chunks[i], validate=validate)
                         for i in range(layer.n_row_tiles)
                     ],
                     axis=0,
@@ -1049,7 +1052,7 @@ class _TileSplitStrategy:
                 return layer.module.accumulate(streams)
             words = np.stack(
                 [
-                    layer.tiles[i][j]
+                    tiles[i][j]
                     .sample_window(chunks[i], packed=True, validate=validate)
                     .words
                     for i in range(layer.n_row_tiles)

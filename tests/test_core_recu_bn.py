@@ -1,5 +1,7 @@
 """Tests for ReCU (Eq. 17) and BN matching (Eq. 16)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +85,29 @@ class TestReCUClamp:
         weights = np.concatenate([rng.normal(size=1000), np.array([50.0, -50.0])])
         clamped = ReCU.clamp_array(weights, tau=0.95)
         assert np.abs(clamped).max() < 10
+
+
+#: sha256 of ``trained_mlp(Cs=16, L=8, epochs=8)``'s state dict,
+#: recorded when ReCU still made one ``np.quantile`` call per bound.
+TRAINED_MLP_DIGEST = "8806d264b3ce06bd02b06787137494e1d6a0feffd3b5b9d2bbf99f3182c795f6"
+
+
+def test_trained_reference_mlp_is_bit_identical(monkeypatch):
+    """Both ReCU bounds come from one quantile call; the reference MLP
+    the serving stack trains must still come out bit for bit the same
+    (a -0.0 where 0.0 was would change the digest)."""
+    from repro.experiments import common
+    from repro.hardware.config import HardwareConfig
+
+    monkeypatch.setattr(common, "_MODEL_CACHE", {})
+    hardware = HardwareConfig(crossbar_size=16, gray_zone_ua=10.0, window_bits=8)
+    model, _, _, _ = common.trained_mlp(hardware, epochs=8)
+    digest = hashlib.sha256()
+    for name, value in sorted(model.state_dict().items()):
+        array = np.ascontiguousarray(value)
+        digest.update(f"{name}{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == TRAINED_MLP_DIGEST
 
 
 @settings(max_examples=30, deadline=None)

@@ -146,6 +146,21 @@ class TestArchitectureDoc:
                 rf"rank {rank}\b", architecture_doc
             ), f"layer diagram must show rank {rank}"
 
+    def test_diagram_rows_name_the_table_prefixes(self, architecture_doc):
+        """Each ``rank N`` row of the diagram names exactly the module
+        prefixes the layer table puts at rank N."""
+        section = architecture_doc.split("## Layer diagram", 1)[1]
+        diagram = section.split("```")[1]
+        rows = re.findall(r"^\s*rank (\d+)\s+(.*)$", diagram, flags=re.M)
+        drawn = {
+            int(rank): set(re.findall(r"\brepro(?:\.\w+)*", text))
+            for rank, text in rows
+        }
+        want = {}
+        for prefix, rank in LAYERS:
+            want.setdefault(rank, set()).add(prefix)
+        assert drawn == want
+
 
 class TestDocsIndex:
     def test_index_links_every_doc(self):

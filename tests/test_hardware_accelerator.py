@@ -1,10 +1,15 @@
 """Tests for the tiled accelerator (multi-crossbar + SC accumulation)."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.api.backends import get_backend
 from repro.hardware.accelerator import AqfpAccelerator, TiledLinearLayer
 from repro.hardware.config import HardwareConfig
+from repro.hardware.crossbar import CrossbarArray
+from repro.runtime.scheduler import _TileSplitStrategy
 
 
 def make_layer(in_features=40, out_features=20, cs=16, gz=2.4, window=16, seed=0):
@@ -126,6 +131,68 @@ class TestForward:
         l1, _ = make_layer(seed=9)
         l2, _ = make_layer(seed=9)
         np.testing.assert_array_equal(l1(a), l2(a))
+
+
+def _eager_reseed(layer, seed):
+    """Reference reseed: the same child-seed draw as
+    ``reseed_sampling``, applied to every tile at once."""
+    layer.reseed(seed)
+    children = layer.rng.integers(
+        0, 2**63 - 1, size=layer.n_row_tiles * layer.n_col_tiles + 1
+    )
+    tiles = [tile for row in layer.tiles for tile in row]
+    for tile, child in zip(tiles, children[:-1]):
+        tile.reseed(int(child))
+    layer._fused_sampler.reseed(int(children[-1]))
+
+
+def _tile_parallel(layer, a, dense=False):
+    base = get_backend("stochastic-dense" if dense else "stochastic-packed")
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return _TileSplitStrategy(base, pool, dense).run_layer(layer, a, rng=None)
+
+
+class TestLazyTileSeeds:
+    """``reseed_sampling`` applies the tile seeds on the next read of
+    ``tiles``: the fused path never pays them, and the bit-level paths
+    draw exactly what an eager reseed would give them."""
+
+    def test_fused_forward_reseeds_one_crossbar(self, monkeypatch):
+        layer, _ = make_layer(40, 40, cs=16)  # 3 x 3 tiles
+        a = np.where(np.random.default_rng(1).random((5, 40)) < 0.5, 1.0, -1.0)
+        reseeded = []
+        reseed = CrossbarArray.reseed
+
+        def counting(crossbar, seed):
+            reseeded.append(crossbar)
+            reseed(crossbar, seed)
+
+        monkeypatch.setattr(CrossbarArray, "reseed", counting)
+        layer.reseed_sampling(7)
+        layer.forward(a)
+        assert reseeded == [layer._fused_sampler]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda layer, a: layer.forward_packed(a),
+            lambda layer, a: layer.forward_dense(a),
+            lambda layer, a: _tile_parallel(layer, a),
+            lambda layer, a: _tile_parallel(layer, a, dense=True),
+        ],
+        ids=["packed", "dense", "tile-parallel", "tile-parallel-dense"],
+    )
+    def test_bit_level_paths_match_an_eager_reseed(self, run):
+        lazy, _ = make_layer(40, 40, cs=16, seed=4)
+        eager, _ = make_layer(40, 40, cs=16, seed=4)
+        a = np.where(np.random.default_rng(2).random((6, 40)) < 0.5, 1.0, -1.0)
+        for seed in (11, 12):
+            lazy.reseed_sampling(seed)
+            _eager_reseed(eager, seed)
+            # A fused pass in between draws from the fused sampler only.
+            np.testing.assert_array_equal(lazy.forward(a), eager.forward(a))
+            for _ in range(2):  # the second pass continues the streams
+                np.testing.assert_array_equal(run(lazy, a), run(eager, a))
 
 
 class TestAqfpAccelerator:

@@ -113,9 +113,7 @@ class TestConstruction:
             DaemonRouter(stubs)
 
     def test_build_names_replicas_and_owns_them(self, small_engine):
-        router = DaemonRouter.build(
-            [small_engine, small_engine], seed=0, coalesce_window_s=0.0
-        )
+        router = DaemonRouter.build([small_engine, small_engine], seed=0)
         try:
             assert [h.name for h in router.replicas] == ["replica-0", "replica-1"]
         finally:
@@ -296,9 +294,7 @@ class TestDaemonSurface:
             assert router.stats.routed == 1
 
     def test_aggregate_daemon_stats_sums_replicas(self, small_engine, images):
-        with DaemonRouter.build(
-            [small_engine, small_engine], seed=3, coalesce_window_s=0.0
-        ) as router:
+        with DaemonRouter.build([small_engine, small_engine], seed=3) as router:
             futures = [router.try_submit(images, seed=s) for s in range(4)]
             for f in futures:
                 f.result(timeout=30)
@@ -320,9 +316,7 @@ class TestBitIdentity:
             seed: Session(small_engine, seed=seed).run(images) for seed in range(5)
         }
         for n_replicas in (1, 3):
-            with DaemonRouter.build(
-                [small_engine] * n_replicas, seed=0, coalesce_window_s=0.0
-            ) as router:
+            with DaemonRouter.build([small_engine] * n_replicas, seed=0) as router:
                 futures = {
                     seed: router.try_submit(images, seed=seed) for seed in range(5)
                 }
@@ -340,7 +334,7 @@ class TestBitIdentity:
         the CLI's multi-replica mode rests on."""
         a, b = _engine(), _engine()
         want = Session(a, seed=11).run(images)
-        with DaemonRouter.build([a, b], seed=0, coalesce_window_s=0.0) as router:
+        with DaemonRouter.build([a, b], seed=0) as router:
             sticky_b = [s for s in range(20) if s % 2 == 1][:3]
             for seed in [11] + sticky_b:
                 got = router.try_submit(images, seed=11).result(timeout=30)
@@ -355,7 +349,7 @@ class TestBitIdentity:
 
         from repro.cli import _serve_target
 
-        args = Namespace(serve_workers=2, window_ms=0.0, max_queue=16, seed=0)
+        args = Namespace(serve_workers=2, max_queue=16, seed=0)
         engines = [_engine(), _engine()]
         router, schedulers = _serve_target(args, engines)
         try:
@@ -378,7 +372,7 @@ class TestBitIdentity:
 
         from repro.cli import _serve_target
 
-        args = Namespace(serve_workers=1, window_ms=10.0, max_queue=16, seed=0)
+        args = Namespace(serve_workers=1, max_queue=16, seed=0)
         daemon, schedulers = _serve_target(args, [small_engine])
         with daemon:
             assert isinstance(daemon, ServingDaemon)
@@ -390,9 +384,7 @@ class TestBitIdentity:
         """A request that fails over to another replica returns exactly
         the bits the original replica would have produced."""
         want = Session(small_engine, seed=6).run(images)
-        real = ServingDaemon(
-            small_engine, name="real", coalesce_window_s=0.0
-        )
+        real = ServingDaemon(small_engine, name="real")
         broken = StubDaemon("broken", fail_with=OSError("shm gone"))
         with DaemonRouter(
             [broken, real], probe_interval_s=0.01
@@ -405,9 +397,7 @@ class TestBitIdentity:
             seed: Session(small_engine, seed=seed).run(images)
             for seed in range(8)
         }
-        with DaemonRouter.build(
-            [small_engine, small_engine], seed=0, coalesce_window_s=0.005
-        ) as router:
+        with DaemonRouter.build([small_engine, small_engine], seed=0) as router:
             futures = {}
             barrier = threading.Barrier(4 + 1)
 

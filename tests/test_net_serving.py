@@ -1,5 +1,5 @@
 """Network serving tier end to end: framed requests over real sockets
-into the asyncio server, through the daemon's dual-consumer pipeline,
+into the asyncio server, through the daemon's single consumer thread,
 and back — bit-identical to in-process serial Sessions with the same
 seeds. Plus the policing paths (rate limit, quota, queue-full) and the
 malformed-input guarantee: a hostile byte stream gets an error frame
@@ -68,7 +68,7 @@ def request_data():
 @contextmanager
 def serving_stack(engine, *, daemon_kwargs=None, **server_kwargs):
     """A daemon + background asyncio server; yields (host, port, thread)."""
-    kwargs = {"seed": 0, "coalesce_window_s": 0.01}
+    kwargs = {"seed": 0}
     kwargs.update(daemon_kwargs or {})
     daemon = ServingDaemon(engine, **kwargs)
     thread = ServerThread(daemon, **server_kwargs)
@@ -124,11 +124,9 @@ class TestWireBitIdentity:
         images, _ = request_data
         pool = [images[:8], images[8:24], images[24:48]]
         if replicas == 1:
-            target = ServingDaemon(small_engine, seed=0, coalesce_window_s=0.01)
+            target = ServingDaemon(small_engine, seed=0)
         else:
-            target = DaemonRouter.build(
-                [small_engine] * replicas, seed=0, coalesce_window_s=0.01
-            )
+            target = DaemonRouter.build([small_engine] * replicas, seed=0)
         thread = ServerThread(target, stream_chunk_rows=8)
         got = {}
 
@@ -387,7 +385,6 @@ class TestStreamingDelivery:
         router = DaemonRouter.build(
             [small_engine, small_engine],
             seed=0,
-            coalesce_window_s=0.01,
             probe_interval_s=0.05,
         )
         thread = ServerThread(router, stream_chunk_rows=8)
@@ -404,6 +401,74 @@ class TestStreamingDelivery:
         finally:
             thread.close()
             router.close(drain=True)
+
+
+class TestDirectWrites:
+    """The loop thread writes frames straight to the transport: the wire
+    order is the order the loop handles them in."""
+
+    def test_progress_partial_response_order_on_the_wire(
+        self, small_engine, request_data
+    ):
+        """A streamed request pipelined with a plain one: the stream's
+        PROGRESS frames, then its PARTIAL slices in sequence, then the
+        plain RESPONSE — each bit-identical to a serial session."""
+        images, _ = request_data
+        streamed_want = Session(small_engine, seed=41).run(images[:16])
+        plain_want = Session(small_engine, seed=42).run(images[16:24])
+        blob = protocol.encode_request(
+            1, images[:16], seed=41, stream=True
+        ) + protocol.encode_request(2, images[16:24], seed=42)
+        frames = []
+        with serving_stack(small_engine, stream_chunk_rows=5) as (host, port, _):
+            with socket.create_connection((host, port), timeout=30) as sock:
+                sock.sendall(blob)
+                decoder = FrameDecoder()
+                while not any(f.request_id == 2 for f in frames):
+                    data = sock.recv(65536)
+                    assert data, f"connection closed after {frames}"
+                    frames += decoder.feed(data)
+        order = [
+            (
+                f.request_id,
+                type(f).__name__,
+                getattr(f, "stage", getattr(f, "seq", None)),
+            )
+            for f in frames
+        ]
+        assert order == [
+            (1, "ProgressFrame", "queued"),
+            (1, "ProgressFrame", "planned"),
+            (1, "ProgressFrame", "executing"),
+            (1, "PartialFrame", 0),
+            (1, "PartialFrame", 1),
+            (1, "PartialFrame", 2),
+            (1, "PartialFrame", 3),
+            (2, "ResponseFrame", None),
+        ]
+        partials = [f for f in frames if isinstance(f, protocol.PartialFrame)]
+        np.testing.assert_array_equal(
+            np.concatenate([p.logits for p in partials]), streamed_want.logits
+        )
+        np.testing.assert_array_equal(frames[-1].logits, plain_want.logits)
+
+    def test_shutdown_leaves_no_daemon_or_server_thread(
+        self, small_engine, request_data
+    ):
+        images, _ = request_data
+        before = set(threading.enumerate())
+        with serving_stack(small_engine) as (host, port, _):
+            with NetworkClient(host, port) as client:
+                client.infer(images[:8], seed=1)
+            started = [
+                t for t in set(threading.enumerate()) - before
+                if t.name.startswith("repro-")
+            ]
+            assert sorted(t.name for t in started) == [
+                "repro-daemon-consumer",
+                "repro-net-server",
+            ]
+        assert not any(thread.is_alive() for thread in started)
 
 
 class TestAdmissionPolicing:
@@ -449,7 +514,6 @@ class TestAdmissionPolicing:
         images, _ = request_data
         daemon_kwargs = {
             "max_queue": 1,
-            "coalesce_window_s": 0.0,
             "max_wave_images": 1,
         }
         n = 12
@@ -598,9 +662,7 @@ class TestDisconnectContainment:
         instead of reaching the event loop's exception handler."""
         images, _ = request_data
         loop_errors = []
-        router = DaemonRouter.build(
-            [small_engine, small_engine], seed=0, coalesce_window_s=0.01
-        )
+        router = DaemonRouter.build([small_engine, small_engine], seed=0)
         thread = ServerThread(router)
         try:
             host, port = thread.start()
@@ -616,6 +678,31 @@ class TestDisconnectContainment:
         finally:
             thread.close()
             router.close(drain=True)
+        assert loop_errors == []
+
+    def test_close_just_after_client_leaves_leaves_no_loop_error(
+        self, small_engine, request_data
+    ):
+        """A client that leaves just before the server closes: its
+        handler can still be closing the transport when aclose() cancels
+        it, and that cancellation must not reach the event loop's
+        exception handler either. The window is narrow, so the scenario
+        repeats."""
+        images, _ = request_data
+        loop_errors = []
+        for _ in range(25):
+            daemon = ServingDaemon(small_engine, seed=0)
+            thread = ServerThread(daemon)
+            try:
+                host, port = thread.start()
+                thread._loop.set_exception_handler(
+                    lambda loop, context: loop_errors.append(context)
+                )
+                with NetworkClient(host, port) as client:
+                    client.infer(images[:8], seed=1)
+            finally:
+                thread.close()
+                daemon.close()
         assert loop_errors == []
 
     def test_server_stats_snapshot_counts(self, small_engine, request_data):

@@ -370,7 +370,6 @@ class TestDaemonAdaptive:
                 seed=11,
                 seed_per_request=True,
                 micro_batch=4,
-                coalesce_window_s=5.0,
                 scheduler=scheduler,
             ) as daemon:
                 single = daemon.submit(images[:8]).result(timeout=60)
@@ -382,7 +381,7 @@ class TestDaemonAdaptive:
                     "serial",
                 ]
                 requests = [images[i * 8 : (i + 1) * 8] for i in range(5)]
-                # The burst's first request leaves alone (idle executor)
+                # The burst's first request leaves alone (idle consumer)
                 # and runs serial, blocked on the held execution lock; the
                 # other four coalesce behind it into one wide wave.
                 executing = threading.Event()
@@ -426,7 +425,6 @@ class TestDaemonAdaptive:
             tiled_engine,
             backend="ideal",
             scheduler="shard-parallel",
-            coalesce_window_s=0.0,
         ) as daemon:
             result = daemon.submit(request_images).result(timeout=60)
         assert result.backend == "ideal"
@@ -446,7 +444,7 @@ class TestDaemonAdaptive:
                 assert daemon.backend == "stochastic"
 
     def test_daemon_stats_decisions_default_none(self, tiled_engine, request_images):
-        with ServingDaemon(tiled_engine, seed=0, coalesce_window_s=0.0) as daemon:
+        with ServingDaemon(tiled_engine, seed=0) as daemon:
             daemon.submit(request_images[:8]).result(timeout=60)
             stats = daemon.stats
         assert stats.decisions is None

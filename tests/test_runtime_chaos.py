@@ -108,7 +108,6 @@ class TestWorkerCrashRecovery:
                     small_engine,
                     seed=7,
                     scheduler=scheduler,
-                    coalesce_window_s=0.2,
                 ) as daemon:
                     futures = [daemon.submit(r) for r in requests]
                     results = [f.result(timeout=120) for f in futures]
@@ -228,9 +227,7 @@ class TestDaemonFaultHandling:
             [FaultSpec(site="daemon.request", action="poison", match={"rows": 16})]
         )
         with fault_injection(plan):
-            with ServingDaemon(
-                small_engine, seed=31, coalesce_window_s=5.0
-            ) as daemon:
+            with ServingDaemon(small_engine, seed=31) as daemon:
                 # Holding the execution lock blocks the first wave, so
                 # the burst forms at most one more: the poisoned request
                 # is assembled together with at least one neighbour.
@@ -260,7 +257,6 @@ class TestDaemonFaultHandling:
                 seed=1,
                 max_queue=1,
                 admission="reject",
-                coalesce_window_s=0.0,
             ) as daemon:
                 accepted = daemon.submit(request_data[:8])
                 with pytest.raises(QueueFull):
@@ -280,7 +276,6 @@ class TestDaemonFaultHandling:
                 seed=1,
                 max_queue=1,
                 admission="block",
-                coalesce_window_s=0.0,
             ) as daemon:
                 accepted = daemon.submit(request_data[:8])
                 with pytest.raises(QueueFull):
@@ -298,9 +293,7 @@ class TestDaemonFaultHandling:
             [FaultSpec(site="daemon.consumer", action="raise", error="RuntimeError")]
         )
         with fault_injection(plan):
-            with ServingDaemon(
-                small_engine, seed=5, coalesce_window_s=0.0
-            ) as daemon:
+            with ServingDaemon(small_engine, seed=5) as daemon:
                 result = daemon.submit(request_data[:16]).result(timeout=60)
                 stats = daemon.stats
         np.testing.assert_array_equal(result.logits, reference[0].logits)
@@ -330,7 +323,6 @@ class TestDaemonFaultHandling:
             daemon = ServingDaemon(
                 small_engine,
                 seed=2,
-                coalesce_window_s=0.0,
                 max_wave_images=8,
             )
             try:
@@ -353,9 +345,7 @@ class TestDaemonFaultHandling:
             [FaultSpec(site="daemon.request", action="delay", delay_s=0.3)]
         )
         with fault_injection(plan):
-            daemon = ServingDaemon(
-                small_engine, seed=2, coalesce_window_s=0.0, max_wave_images=8
-            )
+            daemon = ServingDaemon(small_engine, seed=2, max_wave_images=8)
             inflight = daemon.submit(request_data[:8])
             time.sleep(0.1)  # consumer is now inside the delayed wave
             queued = daemon.submit(request_data[8:16])
@@ -393,7 +383,6 @@ class TestNetworkChaos:
                     small_engine,
                     seed=9,
                     scheduler=scheduler,
-                    coalesce_window_s=0.05,
                 )
                 try:
                     thread = ServerThread(daemon)
@@ -460,7 +449,6 @@ class TestRouterChaos:
         router = DaemonRouter.build(
             [small_engine, small_engine],
             seed=0,
-            coalesce_window_s=0.0,
             probe_interval_s=0.05,
             probe_images=images[:2],
         )

@@ -60,8 +60,8 @@ def _requests(images, labels):
 
 
 def _submit_executing(daemon, images):
-    """Submit one request and return its future once its wave is in the
-    executor (the ``executing`` progress stage has fired)."""
+    """Submit one request and return its future once its wave is
+    executing (the ``executing`` progress stage has fired)."""
     executing = threading.Event()
 
     def progress(stage, _detail):
@@ -69,15 +69,15 @@ def _submit_executing(daemon, images):
             executing.set()
 
     future = daemon.submit(images, progress=progress)
-    assert executing.wait(timeout=10), "the first wave never reached the executor"
+    assert executing.wait(timeout=10), "the first wave never started executing"
     return future
 
 
 def _assert_coalesced(stats, n):
     """An n-request burst submitted while holding the engine's execution
     lock: the first wave leaves at once and blocks on the lock, the rest
-    wait for it — at most two waves, every request but possibly the
-    first coalesced, with no race against the window."""
+    queue behind it and leave together — at most two waves, every
+    request but possibly the first coalesced."""
     assert stats.waves <= 2, stats
     assert stats.coalesced_requests >= n - 1, stats
 
@@ -92,9 +92,7 @@ class TestCoalescingBitIdentity:
         reference = Session(small_engine, seed=42).run_many(
             requests, labels=request_labels
         )
-        with ServingDaemon(
-            small_engine, seed=42, coalesce_window_s=5.0
-        ) as daemon:
+        with ServingDaemon(small_engine, seed=42) as daemon:
             with small_engine._exec_lock:
                 futures = [
                     daemon.submit(r, labels=l)
@@ -110,11 +108,11 @@ class TestCoalescingBitIdentity:
             assert got.total_windows == want.total_windows
 
     def test_zero_window_still_coalesces_queued_burst(self, small_engine, request_data):
-        """window=0 merges whatever is already queued (no waiting)."""
+        """The consumer merges whatever is already queued (no waiting)."""
         images, _ = request_data
         requests = [images[:8]] * 6
         reference = Session(small_engine, seed=9).run_many(requests)
-        with ServingDaemon(small_engine, seed=9, coalesce_window_s=0.0) as daemon:
+        with ServingDaemon(small_engine, seed=9) as daemon:
             results = daemon.run_many(requests)
         for got, want in zip(results, reference):
             np.testing.assert_array_equal(got.logits, want.logits)
@@ -132,9 +130,7 @@ class TestCoalescingBitIdentity:
             )
             for index, request in enumerate(requests)
         ]
-        with ServingDaemon(
-            small_engine, seed=21, seed_per_request=True, coalesce_window_s=0.1
-        ) as daemon:
+        with ServingDaemon(small_engine, seed=21, seed_per_request=True) as daemon:
             report = daemon.serve(requests, labels=request_labels)
         assert report.waves is not None and report.waves >= 1
         for got, want in zip(report.results, reference):
@@ -146,9 +142,7 @@ class TestCoalescingBitIdentity:
         requests = [images[:16], images[16:48]]
         reference = Session(small_engine, seed=4).run_many(requests)
         with ShardParallelScheduler(workers=2) as scheduler:
-            with ServingDaemon(
-                small_engine, scheduler=scheduler, seed=4, coalesce_window_s=0.1
-            ) as daemon:
+            with ServingDaemon(small_engine, scheduler=scheduler, seed=4) as daemon:
                 results = daemon.run_many(requests)
         for got, want in zip(results, reference):
             np.testing.assert_array_equal(got.logits, want.logits)
@@ -156,20 +150,20 @@ class TestCoalescingBitIdentity:
     def test_explicit_submit_seed_pins_one_request(self, small_engine, request_data):
         images, _ = request_data
         want = Session(small_engine, seed=77).run(images[:8])
-        with ServingDaemon(small_engine, coalesce_window_s=0.0) as daemon:
+        with ServingDaemon(small_engine) as daemon:
             got = daemon.submit(images[:8], seed=77).result()
         np.testing.assert_array_equal(got.logits, want.logits)
 
 
 class TestWorkConservingCoalescing:
-    """The coalesce window only applies while a wave is outstanding: an
-    idle executor takes a wave at once, and a wave going idle ends the
-    wait of the next one."""
+    """One consumer, no window: an idle consumer takes a wave at once,
+    and requests queued behind a running wave leave together the moment
+    it finishes."""
 
     def test_idle_executor_dispatches_at_once(self, small_engine, request_data):
         images, _ = request_data
         want = Session(small_engine, seed=13).run(images[:8])
-        with ServingDaemon(small_engine, seed=13, coalesce_window_s=5.0) as daemon:
+        with ServingDaemon(small_engine, seed=13) as daemon:
             start = time.monotonic()
             got = daemon.submit(images[:8]).result(timeout=30)
             elapsed = time.monotonic() - start
@@ -180,7 +174,7 @@ class TestWorkConservingCoalescing:
         images, _ = request_data
         requests = [images[i * 8 : (i + 1) * 8] for i in range(5)]
         reference = Session(small_engine, seed=17).run_many(requests)
-        with ServingDaemon(small_engine, seed=17, coalesce_window_s=30.0) as daemon:
+        with ServingDaemon(small_engine, seed=17) as daemon:
             with small_engine._exec_lock:
                 futures = [_submit_executing(daemon, requests[0])]
                 futures += [daemon.submit(r) for r in requests[1:]]
@@ -194,27 +188,26 @@ class TestWorkConservingCoalescing:
         for got, want in zip(results, reference):
             np.testing.assert_array_equal(got.logits, want.logits)
 
-    def test_window_caps_the_wait_while_busy(self, small_engine, request_data):
+
+def _daemon_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("repro-daemon-")}
+
+
+class TestSingleConsumer:
+    def test_open_daemon_owns_one_thread_and_close_joins_it(
+        self, small_engine, request_data
+    ):
         images, _ = request_data
-        requests = [images[i * 8 : (i + 1) * 8] for i in range(3)]
-        reference = Session(small_engine, seed=19).run_many(requests)
-        with ServingDaemon(small_engine, seed=19, coalesce_window_s=0.05) as daemon:
-            with small_engine._exec_lock:
-                futures = [_submit_executing(daemon, requests[0])]
-                futures += [daemon.submit(r) for r in requests[1:]]
-                deadline = time.monotonic() + 0.5
-                while (
-                    daemon.queue_depth or daemon.stats.waves < 2
-                ) and time.monotonic() < deadline:
-                    time.sleep(0.005)
-                # The window closed the second wave with the first one
-                # still blocked in the executor.
-                assert daemon.queue_depth == 0
-                assert daemon.stats.waves == 2
-                assert not futures[0].done()
-            results = [f.result(timeout=30) for f in futures]
-        for got, want in zip(results, reference):
-            np.testing.assert_array_equal(got.logits, want.logits)
+        before = _daemon_threads()
+        daemon = ServingDaemon(small_engine, seed=0)
+        try:
+            owned = _daemon_threads() - before
+            assert len(owned) == 1, owned
+            daemon.run_many([images[:8], images[8:16]])
+            assert _daemon_threads() - before == owned
+        finally:
+            daemon.close()
+        assert not any(thread.is_alive() for thread in owned)
 
 
 class TestServingEdgeCases:
@@ -240,7 +233,7 @@ class TestServingEdgeCases:
             ref_session.run(np.full((4, 9), 0.5))
         ref_tail = ref_session.run(images[8:16])
         reference = [ref_good, ref_tail]
-        with ServingDaemon(small_engine, seed=5, coalesce_window_s=5.0) as daemon:
+        with ServingDaemon(small_engine, seed=5) as daemon:
             # The bad request shares its wave with at least one neighbour
             # in every possible split of this burst into two waves.
             with small_engine._exec_lock:
@@ -270,7 +263,7 @@ class TestServingEdgeCases:
 
     def test_close_drains_in_flight_requests(self, small_engine, request_data):
         images, _ = request_data
-        daemon = ServingDaemon(small_engine, seed=1, coalesce_window_s=0.0)
+        daemon = ServingDaemon(small_engine, seed=1)
         futures = [daemon.submit(images[:8]) for _ in range(5)]
         daemon.close(drain=True)
         for future in futures:
@@ -282,9 +275,7 @@ class TestServingEdgeCases:
         hanging forever."""
         images, _ = request_data
         # a large burst so some requests are still queued at close time
-        daemon = ServingDaemon(
-            small_engine, seed=1, coalesce_window_s=0.0, max_wave_images=8
-        )
+        daemon = ServingDaemon(small_engine, seed=1, max_wave_images=8)
         futures = [daemon.submit(images[:8]) for _ in range(12)]
         daemon.close(drain=False)
         outcomes = []
@@ -311,31 +302,26 @@ class TestServingEdgeCases:
         images, _ = request_data
         # max_wave_images=1: the wave closes after its first request, so
         # the consumer never races the test for the second submission.
-        daemon = ServingDaemon(
-            small_engine, seed=0, max_queue=1, coalesce_window_s=0.0,
-            max_wave_images=1,
-        )
+        daemon = ServingDaemon(small_engine, seed=0, max_queue=1, max_wave_images=1)
         try:
-            # Stall the executor mid-wave by holding the engine's
-            # execution lock from this thread; the pipeline then fills:
-            # one wave blocked in the executor, two planned waves in
-            # the handoff queue, one wave in the assembler's hand
-            # (blocked on the handoff put), and one request in the
-            # admission queue — five slots with max_wave_images=1.
+            # Stall the consumer mid-wave by holding the engine's
+            # execution lock from this thread; the daemon then fills:
+            # one wave blocked executing and one request in the
+            # admission queue — two slots with max_wave_images=1.
             with small_engine._exec_lock:
-                for _ in range(5):
+                for _ in range(2):
                     daemon.submit(images[:8], timeout=5.0)
-                with pytest.raises(queue.Full):  # no room for a sixth
+                with pytest.raises(queue.Full):  # no room for a third
                     daemon.submit(images[:8], timeout=0.05)
             # lock released: everything in flight completes on drain
             daemon.close(drain=True)
-            assert daemon.stats.completed == 5
+            assert daemon.stats.completed == 2
         finally:
             daemon.close(drain=False)
 
     def test_stats_snapshot(self, small_engine, request_data):
         images, _ = request_data
-        with ServingDaemon(small_engine, seed=0, coalesce_window_s=0.05) as daemon:
+        with ServingDaemon(small_engine, seed=0) as daemon:
             daemon.run_many([images[:8], images[8:16]])
             stats = daemon.stats
         assert stats.submitted == 2
@@ -355,18 +341,15 @@ class TestBackpressureGauges:
         from repro.runtime.recovery import QueueFull
 
         images, _ = request_data
-        daemon = ServingDaemon(
-            small_engine, seed=0, max_queue=1, coalesce_window_s=0.0,
-            max_wave_images=1,
-        )
+        daemon = ServingDaemon(small_engine, seed=0, max_queue=1, max_wave_images=1)
         try:
-            with small_engine._exec_lock:  # stall the executor
+            with small_engine._exec_lock:  # stall the consumer
                 accepted = []
                 rejections = consecutive = 0
                 deadline = time.monotonic() + 20.0
                 # A rejection before saturation is transient (the
-                # assembler just has not drained the slot yet); five in
-                # a row spanning 100ms means the pipeline is truly full.
+                # consumer just has not drained the slot yet); five in
+                # a row spanning 100ms means the daemon is truly full.
                 while consecutive < 5 and time.monotonic() < deadline:
                     try:
                         accepted.append(daemon.try_submit(images[:8]))
@@ -377,10 +360,10 @@ class TestBackpressureGauges:
                         time.sleep(0.02)
                 assert consecutive == 5, "try_submit must shed, not block"
                 stats = daemon.stats
-                # pipeline capacity: executor 1 + handoff 2 + assembler
-                # hand 1 + admission queue 1 (see the bounded-queue test)
-                assert len(accepted) == 5
-                assert stats.in_flight == 5
+                # capacity: 1 executing wave + admission queue 1 (see
+                # the bounded-queue test)
+                assert len(accepted) == 2
+                assert stats.in_flight == 2
                 assert stats.queue_depth == 1
                 assert stats.rejected == rejections
             daemon.close(drain=True)
@@ -389,13 +372,13 @@ class TestBackpressureGauges:
             stats = daemon.stats
             assert stats.in_flight == 0
             assert stats.queue_depth == 0
-            assert stats.completed == 5
+            assert stats.completed == 2
         finally:
             daemon.close(drain=False)
 
     def test_gauges_are_zero_when_idle(self, small_engine, request_data):
         images, _ = request_data
-        with ServingDaemon(small_engine, seed=0, coalesce_window_s=0.0) as daemon:
+        with ServingDaemon(small_engine, seed=0) as daemon:
             daemon.submit(images[:8]).result(timeout=30)
             stats = daemon.stats
         assert stats.in_flight == 0
@@ -428,7 +411,6 @@ class TestWarmPoolReuse:
                 seed=11,
                 scheduler=scheduler,
                 prewarm=True,
-                coalesce_window_s=0.0,
             ) as daemon:
                 generation = scheduler.pool_generation
                 assert generation == 1, "prewarm must build the pool up front"
