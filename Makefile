@@ -78,21 +78,21 @@ test:
 check-runtime:
 ifneq ($(TIMEOUT_BIN),)
 	REPRO_MAX_POOL_WORKERS=2 PYTHONPATH=$(PYTHONPATH) \
-		timeout $(RUNTIME_TIMEOUT) $(PYTHON) -m pytest $(RUNTIME_TESTS) -q $(PYTEST_EXTRA)
+		timeout $(RUNTIME_TIMEOUT) $(PYTHON) -m pytest $(RUNTIME_TESTS) -q -rf $(PYTEST_EXTRA)
 else
 	@echo "GNU timeout not found; using in-process REPRO_TEST_TIMEOUT watchdog"
 	REPRO_MAX_POOL_WORKERS=2 REPRO_TEST_TIMEOUT=$(RUNTIME_TIMEOUT) \
-		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest $(RUNTIME_TESTS) -q $(PYTEST_EXTRA)
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest $(RUNTIME_TESTS) -q -rf $(PYTEST_EXTRA)
 endif
 
 check-chaos:
 ifneq ($(TIMEOUT_BIN),)
 	REPRO_MAX_POOL_WORKERS=2 PYTHONPATH=$(PYTHONPATH) \
-		timeout $(CHAOS_TIMEOUT) $(PYTHON) -m pytest $(CHAOS_TESTS) -q $(PYTEST_EXTRA)
+		timeout $(CHAOS_TIMEOUT) $(PYTHON) -m pytest $(CHAOS_TESTS) -q -rf $(PYTEST_EXTRA)
 else
 	@echo "GNU timeout not found; using in-process REPRO_TEST_TIMEOUT watchdog"
 	REPRO_MAX_POOL_WORKERS=2 REPRO_TEST_TIMEOUT=$(CHAOS_TIMEOUT) \
-		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest $(CHAOS_TESTS) -q $(PYTEST_EXTRA)
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest $(CHAOS_TESTS) -q -rf $(PYTEST_EXTRA)
 endif
 
 check: lint lint-static check-runtime check-chaos test

@@ -36,6 +36,7 @@ from repro.sc.binomial import (
     counts_by_quantile,
     counts_by_search,
     quantile_table,
+    scratch_array,
 )
 from repro.sc.packed import PackedStream
 from repro.utils.rng import RngMixin, SeedLike, binomial_cdf
@@ -306,7 +307,11 @@ class CrossbarArray(RngMixin):
         return self._sample_counts_for_values(v, bits).astype(np.int64, copy=False)
 
     def _sample_counts_for_values(
-        self, v: np.ndarray, bits: int, u: Optional[np.ndarray] = None
+        self,
+        v: np.ndarray,
+        bits: int,
+        u: Optional[np.ndarray] = None,
+        scratch: bool = False,
     ) -> np.ndarray:
         """Window counts for precomputed integer column values ``v``.
 
@@ -320,6 +325,9 @@ class CrossbarArray(RngMixin):
         :mod:`repro.sc.binomial`. The count dtype depends on the path
         taken (``uint8`` from the quantile table, ``intp`` from the
         binary search, ``int64`` from ``Generator.binomial``).
+        ``scratch`` builds the quantile path's temporaries in
+        per-thread reused buffers
+        (:func:`~repro.sc.binomial.scratch_array`).
         """
         cdf = self._count_cdf_table(bits)
         if cdf is None:
@@ -336,7 +344,11 @@ class CrossbarArray(RngMixin):
         # row's CDF. The quantile kernel builds its gather index in idx's
         # dtype, and its table has fewer than 2**31 entries: int32 there.
         quant = self._count_quant_table(bits)
-        idx = v.astype(np.intp if quant is None else np.int32)
+        if quant is not None and scratch:
+            idx = scratch_array("idx", v.shape, np.int32)
+            np.copyto(idx, v, casting="unsafe")
+        else:
+            idx = v.astype(np.intp if quant is None else np.int32)
         idx += self.rows
         np.clip(idx, 0, 2 * self.rows, out=idx)
         if quant is None:
@@ -345,7 +357,7 @@ class CrossbarArray(RngMixin):
             return counts_by_search(cdf, idx, u, self._col_ids)
         if u is None:
             u = self.rng.random(idx.shape)
-        return counts_by_quantile(quant, cdf, idx, u, self._col_ids)
+        return counts_by_quantile(quant, cdf, idx, u, self._col_ids, scratch=scratch)
 
     def ideal_sign_output(self, activations) -> np.ndarray:
         """Noise-free reference: sign of the column value vs threshold."""

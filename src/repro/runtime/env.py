@@ -57,9 +57,11 @@ ENV_CATALOG: Dict[str, EnvVar] = {
         kind="int",
         default="unset (no cap)",
         description=(
-            "Ceiling on process-pool worker counts; schedulers clamp "
-            "their configured fan-out to it. Must be >= 1. CI sets 2 so "
-            "pool deadlocks surface fast."
+            "Ceiling on scheduler fan-out; schedulers clamp their "
+            "configured `workers` to it. A shard pool of fan-out W runs "
+            "one group on the calling thread and forks W - 1 worker "
+            "processes (1 when W is 1). Must be >= 1. CI sets 2 so pool "
+            "deadlocks surface fast."
         ),
         consumer="repro.runtime.scheduler",
     ),

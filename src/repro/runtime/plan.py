@@ -51,7 +51,7 @@ from repro.mapping.compiler import (
     ThermometerStage,
 )
 from repro.mapping.tiling import conv_output_geometry
-from repro.sc.binomial import DrawBatch
+from repro.sc.binomial import DrawBatch, scratch_array
 from repro.utils.rng import new_rng
 
 _INT8_ONE = np.int8(1)
@@ -409,8 +409,11 @@ class _FusedChainDraws:
             )
             self._fused_seeds.append(int(children[-1]))
 
-    def take(self, layer_index: int, shape) -> np.ndarray:
-        return np.random.default_rng(self._fused_seeds[layer_index]).random(shape)
+    def fill(self, layer_index: int, out: np.ndarray) -> None:
+        """Write the layer pass's uniforms into the C-contiguous
+        ``out``: ``random(out=)`` fills in the C order of
+        ``random(shape)``, so the doubles are the same."""
+        np.random.default_rng(self._fused_seeds[layer_index]).random(out=out)
 
 
 class _BatchedChainDraws:
@@ -429,8 +432,8 @@ class _BatchedChainDraws:
         total = batched_draw_elements(network, input_shape, rows)
         self._draws = DrawBatch(rng, total)
 
-    def take(self, layer_index: int, shape) -> np.ndarray:
-        return self._draws.take(shape)
+    def fill(self, layer_index: int, out: np.ndarray) -> None:
+        out[...] = self._draws.take(out.shape)
 
 
 def run_stages_group(
@@ -473,18 +476,28 @@ def run_stages_group(
 
         ``rows_scale`` maps shard rows to rows of ``flat`` (the conv
         ``positions`` factor); shard blocks are contiguous along the
-        batch axis, so the per-shard uniforms concatenate there.
+        batch axis, so the per-shard uniforms are laid side by side
+        there. The ``(K, N, out)`` uniforms and the sampler's
+        temporaries live in per-thread scratch buffers
+        (:func:`~repro.sc.binomial.scratch_array`), so a steady stream
+        of same-shaped waves allocates none of them anew.
         """
         values, _count = layer._fused_values(flat, validate)
-        k = values.shape[0]
-        out = values.shape[-1]
-        pieces = [
-            src.take(layer_index, (k, rows * rows_scale, out))
-            for src, rows in zip(sources, row_counts)
-        ]
-        u = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+        u = scratch_array("u", values.shape, np.float64)
+        k, _rows, out = values.shape
+        lo = 0
+        for src, rows in zip(sources, row_counts):
+            hi = lo + rows * rows_scale
+            block = u[:, lo:hi]
+            if block.flags.c_contiguous:
+                src.fill(layer_index, block)
+            else:
+                piece = scratch_array("u-shard", (k, hi - lo, out), np.float64)
+                src.fill(layer_index, piece)
+                block[...] = piece
+            lo = hi
         counts = layer._fused_sampler._sample_counts_for_values(
-            values, layer.config.window_bits, u=u
+            values, layer.config.window_bits, u=u, scratch=True
         )
         layer.n_passes += layer.n_row_tiles * layer.n_col_tiles * len(specs)
         layer.n_inferences += flat.shape[0]

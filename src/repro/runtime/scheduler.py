@@ -9,10 +9,11 @@ each crossbar stage is sampled. Four first-class schedulers:
     In-process, shard by shard, under the engine's execution lock —
     exactly the session loop the Engine has always run.
 ``"shard-parallel"``
-    Shards fan out over a worker process pool. Activations ship
-    through the shared-memory :class:`~repro.runtime.transport.ActivationRing`
-    by default; per-shard reseeding keeps N-worker output bit-identical
-    to serial for the same plan.
+    Shard groups fan out over the calling thread and a worker process
+    pool. Activations ship through the shared-memory
+    :class:`~repro.runtime.transport.ActivationRing` by default;
+    per-shard reseeding keeps N-worker output bit-identical to serial
+    for the same plan.
 ``"tile-parallel"``
     Shards stay in-process but every crossbar stage's *column tiles*
     run concurrently on a thread pool — the axis that still has
@@ -33,7 +34,7 @@ All of them return **per-shard** ``(logits, telemetry)`` pairs in plan
 order, which is what lets the serving daemon slice a coalesced wave
 back into per-request results.
 
-``REPRO_MAX_POOL_WORKERS`` (environment) caps worker counts of the
+``REPRO_MAX_POOL_WORKERS`` (environment) caps the fan-out of the
 pool-backed schedulers — the ``make check-runtime`` tier sets it to 2
 so pool tests cannot oversubscribe CI hosts.
 """
@@ -45,6 +46,7 @@ import os
 import sys
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -297,36 +299,29 @@ def _worker_init(
         faults.clear_inherited_plan()
 
 
-def _run_shard_local(
-    chunk: np.ndarray, seed: Optional[int], index: int = 0
-) -> ShardResult:
-    network = _WORKER_STATE["network"]
-    strategy = _WORKER_STATE["strategy"]
-    faults.fault_point("worker.shard", shard=index, rows=int(np.shape(chunk)[0]))
-    rng = seed_shard(network, seed)
-    telemetry: List[LayerTelemetry] = []
-    logits = run_stages(
-        network, np.asarray(chunk, dtype=np.float64), strategy, rng, telemetry
-    )
-    return logits, telemetry
-
-
-def _worker_warmup() -> int:
-    """Warm one worker end to end (runs in the worker process).
-
-    Builds the fused samplers' cached inverse-CDF tables for the
-    shipped network — the dominant first-shard cost after process
-    spawn — so a prewarmed pool's first real wave pays compute only.
-    Returns the worker's pid (which also proves the process exists:
-    ``ProcessPoolExecutor`` spawns lazily on first submit).
-    """
-    network = _WORKER_STATE["network"]
+def _warm_tables(network) -> None:
+    """Build the fused samplers' cached inverse-CDF tables for
+    ``network`` — the dominant first-shard cost. Draws nothing, so it
+    is safe on a live network that seedless sessions share."""
     for layer in network.tiled_layers:
         sampler = getattr(layer, "_fused_sampler", None)
         if sampler is not None:
             bits = layer.config.window_bits
             if sampler.supports_batched_draws(bits):
                 sampler._count_quant_table(bits)
+
+
+def _worker_warmup() -> int:
+    """Warm one worker end to end (runs in the worker process).
+
+    Builds the shipped network's sampler tables (:func:`_warm_tables`)
+    so a prewarmed pool's first real wave pays compute only. Returns
+    the worker's pid (which also proves the process exists:
+    ``ProcessPoolExecutor`` spawns lazily on first submit).
+    """
+    network = _WORKER_STATE["network"]
+    _warm_tables(network)
+    for layer in network.tiled_layers:
         # One micro-batch-sized pass per layer: initializes the worker's
         # BLAS state, faults the weight pages in (a forked worker pays a
         # copy-on-write storm on first touch otherwise), and sizes the
@@ -337,37 +332,49 @@ def _worker_warmup() -> int:
     return os.getpid()
 
 
-def _run_group_local(slab: np.ndarray, specs) -> List[ShardResult]:
-    """Execute one contiguous shard *group* in this worker.
+def _run_group_local(
+    slab: np.ndarray, specs, network=None, strategy=None
+) -> List[ShardResult]:
+    """Execute one contiguous shard *group*.
 
     ``specs`` is a tuple of ``(seed, start, stop, index)`` rows relative
-    to ``slab``. When the inner strategy's draw chain can be reproduced
-    externally (:func:`~repro.runtime.plan.group_vectorizable`), the
-    whole group runs stage-major through
-    :func:`~repro.runtime.plan.run_stages_group` — one numpy pass per
-    stage over all the group's rows, per-shard uniforms drawn in shard
-    order — which is bit-identical to the per-shard loop it replaces.
-    Otherwise (bit-level backends, seedless shards) the group falls
-    back to that loop.
+    to ``slab``. In a worker (``network`` None) the group runs on the
+    worker's own network copy and visits the ``worker.shard`` fault
+    site once per shard. The scheduler's calling thread passes its own
+    live ``network`` and inner ``strategy`` instead, and its group never
+    visits that site: a ``kill`` there is ``os._exit``, which would take
+    the serving process down.
+
+    When the inner strategy's draw chain can be reproduced externally
+    (:func:`~repro.runtime.plan.group_vectorizable`), the whole group
+    runs stage-major through :func:`~repro.runtime.plan.run_stages_group`
+    — one numpy pass per stage over all the group's rows, per-shard
+    uniforms drawn in shard order — which is bit-identical to the
+    per-shard loop and leaves the network's own sampler streams alone.
+    Otherwise (bit-level backends) the group falls back to that loop,
+    which reseeds the network per shard: the caller holds the engine's
+    execution lock around it.
     """
-    network = _WORKER_STATE["network"]
-    strategy = _WORKER_STATE["strategy"]
-    slab = np.asarray(slab, dtype=np.float64)
-    if len(specs) > 1 and all(s[0] is not None for s in specs) and group_vectorizable(
-        network, strategy
-    ):
-        for seed, start, stop, index in specs:
+    if network is None:
+        network = _WORKER_STATE["network"]
+        strategy = _WORKER_STATE["strategy"]
+        for _seed, start, stop, index in specs:
             faults.fault_point("worker.shard", shard=index, rows=int(stop - start))
+    slab = np.asarray(slab, dtype=np.float64)
+    if all(s[0] is not None for s in specs) and group_vectorizable(network, strategy):
         return run_stages_group(
             network,
             slab,
             [(seed, start, stop) for seed, start, stop, _index in specs],
             strategy,
         )
-    return [
-        _run_shard_local(slab[start:stop], seed, index)
-        for seed, start, stop, index in specs
-    ]
+    outputs: List[ShardResult] = []
+    for seed, start, stop, _index in specs:
+        rng = seed_shard(network, seed)
+        telemetry: List[LayerTelemetry] = []
+        logits = run_stages(network, slab[start:stop], strategy, rng, telemetry)
+        outputs.append((logits, telemetry))
+    return outputs
 
 
 def _split_groups(shards, k: int) -> List[List[Tuple[int, object]]]:
@@ -389,6 +396,18 @@ def _split_groups(shards, k: int) -> List[List[Tuple[int, object]]]:
         groups.append(indexed[pos : pos + size])
         pos += size
     return groups
+
+
+def _group_rows(group) -> Tuple[int, int, tuple]:
+    """``(start, stop, specs)`` of one group: its row range in the
+    request and the ``(seed, start, stop, index)`` specs relative to
+    that range that :func:`_run_group_local` takes."""
+    base = group[0][1].start
+    specs = tuple(
+        (shard.seed, shard.start - base, shard.stop - base, index)
+        for index, shard in group
+    )
+    return base, group[-1][1].stop, specs
 
 
 def _worker_run_group(slab: np.ndarray, specs) -> List[ShardResult]:
@@ -461,20 +480,32 @@ def _worker_lane(index: int) -> int:
     summary="process-pool shards over shared-memory transport",
 )
 class ShardParallelScheduler:
-    """Fan a plan's shards over a worker process pool.
+    """Fan a plan's shards over the calling thread and a worker process
+    pool.
 
     The compiled network ships once per worker via the pool
     initializer; each shard task re-derives the full sampler state from
     its child seed and executes through the same
     :func:`~repro.runtime.plan.run_stages` the serial scheduler uses,
-    so which worker runs which shard is irrelevant — N-worker output is
-    bit-identical to serial for the same plan.
+    so which process runs which shard is irrelevant — N-worker output
+    is bit-identical to serial for the same plan.
+
+    A wave is split into ``workers`` contiguous shard groups. With
+    ``workers >= 2`` the pool holds ``workers - 1`` processes: the
+    calling thread sends them the first ``workers - 1`` groups, runs the
+    *last* group itself on its own network (see :func:`_run_group_local`)
+    and then gathers the rest, so no core sits idle waiting. The last
+    group is the caller's so that the low shard indices fault plans
+    target still land on workers. With ``workers=1`` the single group
+    runs on one worker process.
 
     Parameters
     ----------
     workers:
-        Pool size; defaults to the host's CPU count (capped by the
-        ``REPRO_MAX_POOL_WORKERS`` environment variable).
+        Fan-out: the calling thread plus ``workers - 1`` worker
+        processes (one process when ``workers`` is 1). Defaults to the
+        host's CPU count (capped by the ``REPRO_MAX_POOL_WORKERS``
+        environment variable).
     inner:
         Layer-level backend each worker executes shards with.
     transport:
@@ -493,8 +524,12 @@ class ShardParallelScheduler:
         pickle transport and retries; a blown deadline abandons the
         stragglers and re-executes serially in-process — bit-identical,
         because every shard re-derives its sampler state from its own
-        plan seed. :attr:`last_recovery` reports what the calling
-        thread's most recent wave went through.
+        plan seed. A deadline cannot cut the caller's own group short;
+        it is at most ``1/workers`` of the wave, and the remote groups
+        are gathered under what is left of the budget. A failed remote
+        group fails the attempt, and the retry re-runs the whole wave.
+        :attr:`last_recovery` reports what the calling thread's most
+        recent wave went through.
     """
 
     stateless = False
@@ -513,6 +548,8 @@ class ShardParallelScheduler:
         if transport not in ("shm", "pickle"):
             raise ValueError(f"transport must be 'shm' or 'pickle', got {transport!r}")
         self.workers = _worker_cap(int(workers or os.cpu_count() or 1))
+        # Worker processes: the calling thread runs one group itself.
+        self._processes = max(1, self.workers - 1)
         self.inner = inner
         get_backend(inner)  # fail fast on unknown names
         self.transport = transport
@@ -557,14 +594,15 @@ class ShardParallelScheduler:
         rng=None,
         deadline_s: Optional[float] = None,
     ) -> List[ShardResult]:
-        """Execute every shard on the pool under the recovery policy;
-        per-shard results in plan order. ``strategy`` is accepted for
-        interface parity but unused — workers resolve their own inner
-        strategy and own their own network copies. ``exec_lock``/``rng``
-        are only touched by the serial rescue path. ``deadline_s``
-        (default: the policy's) bounds the wall time of the pool
-        attempts; a blown deadline abandons the stragglers and
-        re-executes serially."""
+        """Execute every shard on the pool and the calling thread under
+        the recovery policy; per-shard results in plan order.
+        ``strategy`` is accepted for interface parity but unused —
+        workers and the caller's group resolve the scheduler's own
+        ``inner`` backend. ``exec_lock`` is held around the caller's
+        group and the serial rescue; ``rng`` is only touched by the
+        rescue. ``deadline_s`` (default: the policy's) bounds the wall
+        time of the pool attempts; a blown deadline abandons the
+        stragglers and re-executes serially."""
         self._recovery_local.log = None
         if plan.batch_size == 0:
             # N=0 draws nothing, so skip the reseed too: the shared
@@ -590,7 +628,9 @@ class ShardParallelScheduler:
                 network, x, plan, exec_lock, rng
             )
         outputs, log = run_with_recovery(
-            lambda remaining: self._run_pool_once(network, x, plan, remaining),
+            lambda remaining: self._run_pool_once(
+                network, x, plan, remaining, exec_lock
+            ),
             policy=self.recovery,
             deadline_s=deadline_s,
             fallback=fallback,
@@ -605,23 +645,44 @@ class ShardParallelScheduler:
         x: np.ndarray,
         plan,
         remaining: Optional[float],
+        exec_lock=None,
     ) -> List[ShardResult]:
-        """One pool attempt: publish, fan out *groups*, gather under
-        the remaining deadline budget.
+        """One pool attempt: publish, fan out *groups*, run the caller's
+        group, gather under the remaining deadline budget.
 
         Shards are batched into at most ``workers`` contiguous groups —
         one pool submission (and one shm ticket) per group instead of
-        one per shard, so the per-task dispatch constant is paid
-        ``min(workers, shards)`` times per wave. Inside a worker the
-        group executes stage-major and vectorized when the inner
-        backend allows it (see :func:`_run_group_local`), bit-identical
-        to per-shard execution either way.
+        one per shard, so the per-task dispatch constant is paid once
+        per worker per wave. With ``workers >= 2`` the last group is the
+        caller's own (``run_own``) and only the rows before it are
+        published. Every group executes stage-major and
+        vectorized when the inner backend allows it (see
+        :func:`_run_group_local`), bit-identical to per-shard execution
+        either way.
         """
         pool = self._ensure_pool(network)
+        groups = _split_groups(plan.shards, self.workers)
+        own = groups.pop() if self.workers > 1 else None
+
+        def run_own() -> List[ShardResult]:
+            # The caller's share: rows straight from ``x`` (no shm
+            # ticket), its own network and inner backend, under
+            # ``exec_lock`` because the per-shard fallback reseeds the
+            # live layers.
+            if own is None:
+                return []
+            start, stop, specs = _group_rows(own)
+            with exec_lock if exec_lock is not None else nullcontext():
+                return _run_group_local(
+                    x[start:stop], specs, network, get_backend(self.inner)
+                )
+
         lease = None
-        if self.transport == "shm":
+        if self.transport == "shm" and groups:
             try:
-                lease = self._ensure_ring().publish(np.ascontiguousarray(x))
+                lease = self._ensure_ring().publish(
+                    np.ascontiguousarray(x[: groups[-1][-1][1].stop])
+                )
             except transport.TransportUnavailable:
                 # Host cannot do shared memory — flip to pickle for the
                 # lifetime of this scheduler and carry on.
@@ -630,11 +691,10 @@ class ShardParallelScheduler:
         futures = []
         abandoned = False
         try:
-            groups = _split_groups(plan.shards, self.workers)
             lanes = self._lanes
             if lanes is not None and len(groups) <= len(lanes):
                 try:
-                    return self._run_lanes(lanes, lease, x, groups, deadline)
+                    return self._run_lanes(lanes, lease, x, groups, deadline, run_own)
                 except BaseException:  # taxonomy: re-raised for run_with_recovery after marking the lease
                     # A lane may still be reading the slab (a straggler,
                     # a dead worker's half-read) — never recycle the
@@ -642,27 +702,18 @@ class ShardParallelScheduler:
                     abandoned = True
                     raise
             for group in groups:
-                base = group[0][1].start
-                specs = tuple(
-                    (shard.seed, shard.start - base, shard.stop - base, index)
-                    for index, shard in group
-                )
+                start, stop, specs = _group_rows(group)
                 if lease is not None:
                     futures.append(
                         pool.submit(
-                            _worker_run_group_shm,
-                            lease.ticket(base, group[-1][1].stop),
-                            specs,
+                            _worker_run_group_shm, lease.ticket(start, stop), specs
                         )
                     )
                 else:
                     futures.append(
-                        pool.submit(
-                            _worker_run_group,
-                            x[base : group[-1][1].stop],
-                            specs,
-                        )
+                        pool.submit(_worker_run_group, x[start:stop], specs)
                     )
+            own_outputs = run_own()
             outputs: List[ShardResult] = []
             for future in futures:
                 budget = None if deadline is None else deadline - time.monotonic()
@@ -676,6 +727,7 @@ class ShardParallelScheduler:
                     raise DeadlineExceeded(
                         "wave deadline exhausted while gathering shards"
                     ) from None
+            outputs.extend(own_outputs)
             return outputs
         except DeadlineExceeded:
             # Straggler path: cancel what has not started and walk away
@@ -707,10 +759,12 @@ class ShardParallelScheduler:
         x: np.ndarray,
         groups,
         deadline: Optional[float],
+        run_own,
     ) -> List[ShardResult]:
         """One wave over the express lanes: direct pipe send/recv to the
         parked workers (see :meth:`warm`), no executor machinery on the
-        per-wave path.
+        per-wave path. ``run_own`` runs the caller's group between the
+        sends and the first receive; its results come last.
 
         The executor's submit/gather crosses its management thread and
         call-queue feeder on the way in and the result queue plus the
@@ -728,26 +782,21 @@ class ShardParallelScheduler:
         with self._lane_lock:
             self._lane_wave += 1
             wave_id = self._lane_wave
-            live = []
             try:
                 for slot, group in enumerate(groups):
-                    base = group[0][1].start
-                    specs = tuple(
-                        (shard.seed, shard.start - base, shard.stop - base, index)
-                        for index, shard in group
-                    )
+                    start, stop, specs = _group_rows(group)
                     if lease is not None:
-                        payload = ("shm", lease.ticket(base, group[-1][1].stop))
+                        payload = ("shm", lease.ticket(start, stop))
                     else:
-                        payload = ("pickle", x[base : group[-1][1].stop])
+                        payload = ("pickle", x[start:stop])
                     lanes[slot].send((wave_id, payload, specs))
-                    live.append(slot)
             except (BrokenPipeError, OSError) as exc:
                 raise BrokenProcessPool(
                     f"express lane severed mid-send: {exc}"
                 ) from exc
+            own_outputs = run_own()
             outputs: List[ShardResult] = []
-            for slot in live:
+            for slot in range(len(groups)):
                 while True:
                     budget = (
                         None if deadline is None else deadline - time.monotonic()
@@ -772,6 +821,7 @@ class ShardParallelScheduler:
                         raise body
                     outputs.extend(body)
                     break
+            outputs.extend(own_outputs)
             return outputs
 
     def _repair(self, exc: BaseException) -> Optional[str]:
@@ -861,10 +911,10 @@ class ShardParallelScheduler:
                     # warns about the parent's unlinked segments at exit.
                     resource_tracker.ensure_running()
                     lane_pairs = [
-                        context.Pipe(duplex=True) for _ in range(self.workers)
+                        context.Pipe(duplex=True) for _ in range(self._processes)
                     ]
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
+                    max_workers=self._processes,
                     mp_context=context,
                     initializer=_worker_init,
                     initargs=(
@@ -905,7 +955,7 @@ class ShardParallelScheduler:
         """
         try:  # pragma: no branch
             with pool._shutdown_lock:
-                while len(pool._processes) < self.workers:
+                while len(pool._processes) < self._processes:
                     pool._spawn_process()
         except AttributeError:  # pragma: no cover - stdlib internals moved
             pass
@@ -928,7 +978,8 @@ class ShardParallelScheduler:
         return self._pool_generation
 
     def warm(self, network) -> int:
-        """Build the worker pool (and shm ring) before any traffic.
+        """Build the worker pool (and shm ring) and every sampler table
+        a wave needs before any traffic.
 
         Pool construction — forkserver spin-up, shipping the network to
         every worker, building their sampler tables — measured 0.5–0.8 s
@@ -939,6 +990,11 @@ class ShardParallelScheduler:
         first request's deadline is what makes the first wave's latency
         look like every other wave's. Idempotent: a live pool for the same
         network is left untouched. Returns the pool generation.
+
+        While the workers warm up, the calling thread builds the sampler
+        tables of its own ``network`` for the group it runs in every
+        wave (``workers >= 2``). It runs no forward pass there: that
+        would advance the live streams seedless sessions continue.
 
         On a fork-context pool, warming also activates the *express
         lanes*: every worker parks on a dedicated duplex pipe, and
@@ -966,7 +1022,11 @@ class ShardParallelScheduler:
         # ProcessPoolExecutor spawns its processes lazily on first
         # submit; force every worker up *now* and have each build its
         # sampler tables, so no real request pays spawn or table cost.
-        futures = [self._pool.submit(_worker_warmup) for _ in range(self.workers)]
+        futures = [
+            self._pool.submit(_worker_warmup) for _ in range(self._processes)
+        ]
+        if self.workers > 1:
+            _warm_tables(network)
         for future in futures:
             future.result()
         with self._lock:
@@ -1186,8 +1246,9 @@ class AdaptiveScheduler:
     Parameters
     ----------
     workers:
-        Fan-out width for both the process pool and the tile threads
-        (defaults to the CPU count, capped by
+        Fan-out width for both the shard pool (the calling thread plus
+        ``workers - 1`` processes, see :class:`ShardParallelScheduler`)
+        and the tile threads (defaults to the CPU count, capped by
         ``REPRO_MAX_POOL_WORKERS``).
     cost_model:
         A ready-made :class:`~repro.runtime.costmodel.CostModel`, a

@@ -43,11 +43,20 @@ generator invocation per shard without changing a single sampled count
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 #: Number of uniform bins in the quantized quantile table (uint8
 #: entries: low 7 bits of payload + 1 "stepped bin" flag bit).
 QUANT_BINS = 256
+
+
+#: Laws per block of :func:`quantile_table`'s build. Each block's int64
+#: histogram and float64 stepped-bin weights hold ``laws * (M + 1)``
+#: entries, so this bounds the build's temporaries to a few MB however
+#: many laws the table has.
+QUANT_BUILD_BLOCK = 1024
 
 
 def quantile_table(cdf: np.ndarray, m_bins: int) -> np.ndarray:
@@ -58,9 +67,25 @@ def quantile_table(cdf: np.ndarray, m_bins: int) -> np.ndarray:
     some CDF level falls strictly inside the bin (so the count steps
     within it and the caller must resolve that element exactly).
     Requires ``n <= 127`` counts to fit the payload bits.
+
+    Rows are independent, so the table is built in blocks of
+    :data:`QUANT_BUILD_BLOCK` laws with the same arithmetic per row: the
+    bytes are those of a one-shot build, and the temporaries stay a few
+    MB instead of growing with the law count (a one-shot build of
+    10,512 laws peaked at 50.6 MB).
     """
     n = cdf.shape[-1] - 1
-    rows = cdf[..., :n].reshape(-1, n)
+    flat = cdf.reshape(-1, n + 1)
+    vc = flat.shape[0]
+    table = np.empty((vc, m_bins), dtype=np.uint8)
+    for lo in range(0, vc, QUANT_BUILD_BLOCK):
+        hi = min(lo + QUANT_BUILD_BLOCK, vc)
+        table[lo:hi] = _quantile_rows(flat[lo:hi, :n], m_bins)
+    return table
+
+
+def _quantile_rows(rows: np.ndarray, m_bins: int) -> np.ndarray:
+    """:func:`quantile_table` for one block of ``(laws, n)`` CDF levels."""
     vc = rows.shape[0]
     s = rows * m_bins
     # First bin edge at/above each CDF level: count(m/M) counts the
@@ -82,12 +107,49 @@ def quantile_table(cdf: np.ndarray, m_bins: int) -> np.ndarray:
     return start | (stepped.astype(np.uint8) << 7)
 
 
+#: Bytes of buffers one thread keeps for :func:`scratch_array`. A
+#: buffer larger than this is allocated for its call and dropped; a
+#: buffer that would push the thread past it empties the thread's
+#: cache first.
+SCRATCH_BYTES = 16 * 2**20
+
+_SCRATCH = threading.local()
+
+
+def scratch_array(tag: str, shape, dtype) -> np.ndarray:
+    """An uninitialized buffer this thread reuses for ``tag``, ``shape``
+    and ``dtype``.
+
+    The grouped kernel's ``(K, N, out)`` temporaries are multi-MB and
+    have the same shape every wave. Fresh arrays that large come from
+    ``mmap`` or from heap the allocator trims between waves, so each
+    wave page-faults them in anew, and how often depends on the
+    allocator's history (glibc raises its thresholds after large frees).
+    A reused buffer is faulted in once. The caller must be done with a
+    buffer before it asks for the same key again.
+    """
+    shape = tuple(int(d) for d in shape)
+    key = (tag, shape, np.dtype(dtype))
+    cache = getattr(_SCRATCH, "buffers", None)
+    if cache is None:
+        cache = _SCRATCH.buffers = {}
+    buf = cache.get(key)
+    if buf is None:
+        buf = np.empty(shape, dtype=dtype)
+        if buf.nbytes <= SCRATCH_BYTES:
+            if sum(b.nbytes for b in cache.values()) + buf.nbytes > SCRATCH_BYTES:
+                cache.clear()
+            cache[key] = buf
+    return buf
+
+
 def counts_by_quantile(
     quant: np.ndarray,
     cdf: np.ndarray,
     idx: np.ndarray,
     u: np.ndarray,
     col_ids: np.ndarray,
+    scratch: bool = False,
 ) -> np.ndarray:
     """Exact Binomial counts: one gather against the quantized table.
 
@@ -113,16 +175,33 @@ def counts_by_quantile(
     guarantees the bin index stays in range (``u * M`` is an exact
     power-of-two scaling, so it cannot round up to ``M``) — no clamp
     pass is spent on it.
+
+    With ``scratch`` the gather index, the bin index and the table
+    entries live in this thread's :func:`scratch_array` buffers instead
+    of fresh arrays; the returned counts are always a fresh array.
     """
     n = cdf.shape[-1] - 1
     cols = col_ids.shape[-1]
     m_bins = quant.shape[-1]
-    law = idx * (cols * m_bins)
+
+    def buffer(tag: str, dtype) -> np.ndarray:
+        if scratch:
+            return scratch_array(tag, idx.shape, dtype)
+        return np.empty(idx.shape, dtype=dtype)
+
+    law = np.multiply(idx, cols * m_bins, out=buffer("law", idx.dtype))
     law += (col_ids * m_bins).astype(law.dtype, copy=False)
-    law += (u * m_bins).astype(law.dtype)
+    # The float64 product is truncated on output, as ``astype`` would,
+    # without a float64 temporary.
+    law += np.multiply(u, m_bins, out=buffer("bin", law.dtype), casting="unsafe")
     # np.take, not fancy indexing: the latter converts an int32 index
-    # to intp first, which costs more than the narrow passes save.
-    entry = np.take(quant.reshape(-1), law)
+    # to intp first, which costs more than the narrow passes save. With
+    # ``out`` the default "raise" mode gathers into a buffer and copies;
+    # the index is in range by construction, so "clip" gathers straight
+    # into ``out``.
+    entry = np.take(
+        quant.reshape(-1), law, out=buffer("entry", quant.dtype), mode="clip"
+    )
     counts = entry & 0x7F
     stepped = np.flatnonzero(entry >= 0x80)
     if stepped.size:

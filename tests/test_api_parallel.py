@@ -3,6 +3,8 @@ daemon's batch ``serve()`` report, the ``repro run --workers`` default
 scheduler, and Engine correctness fixes (empty-batch accuracy,
 run_many labels, backend instance caching)."""
 
+import multiprocessing
+import threading
 import warnings
 
 import numpy as np
@@ -37,10 +39,11 @@ def pm(rng, shape):
     return np.where(rng.random(shape) < 0.5, 1.0, -1.0)
 
 
-@pytest.fixture(scope="module")
-def small_engine():
+def make_small_engine():
     """A crossbar engine built directly from +-1 weights (no training:
-    fast enough to run many sharded requests through a process pool)."""
+    fast enough to run many sharded requests through a process pool).
+    Each call builds a fresh copy: same weights, same compile-time
+    sampler streams."""
     rng = new_rng(0)
     cfg = HardwareConfig(crossbar_size=16, gray_zone_ua=10.0, window_bits=8)
     layer = TiledLinearLayer(cfg, pm(rng, (64, 48)), seed=1)
@@ -55,6 +58,11 @@ def small_engine():
     )
     network = CompiledNetwork([SignStage(), LinearStage(layer=layer), head], cfg)
     return Engine(network, micro_batch=8)
+
+
+@pytest.fixture(scope="module")
+def small_engine():
+    return make_small_engine()
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +152,82 @@ class TestParallelDeterminism:
             ShardParallelScheduler(workers=0)
         with pytest.raises(KeyError):
             ShardParallelScheduler(inner="nonsense")
+
+
+class TestCallerGroup:
+    """With ``workers=W >= 2`` the calling thread runs the last shard
+    group itself and the pool holds ``W - 1`` processes."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_warm_pool_owns_workers_minus_one_children(self, small_engine, workers):
+        before = set(multiprocessing.active_children())
+        with ShardParallelScheduler(workers=workers) as scheduler:
+            scheduler.warm(small_engine.network)
+            children = set(multiprocessing.active_children()) - before
+            # REPRO_MAX_POOL_WORKERS (the runtime tiers set 2) caps W.
+            assert scheduler.workers <= workers
+            assert len(children) == max(1, scheduler.workers - 1)
+
+    @pytest.mark.parametrize("inner", ["stochastic", "stochastic-packed"])
+    @pytest.mark.parametrize("warm", [True, False], ids=["lanes", "executor"])
+    def test_pooled_logits_equal_serial(self, small_engine, request_data, inner, warm):
+        images, _ = request_data
+        for workers in (2, 3):
+            with ShardParallelScheduler(workers=workers, inner=inner) as scheduler:
+                if warm:
+                    scheduler.warm(small_engine.network)
+                for shards in (1, 2, 3, 8):
+                    x = np.resize(images, (8 * shards, images.shape[1]))
+                    serial = small_engine.session(seed=shards, backend=inner).run(x)
+                    with small_engine.session(
+                        seed=shards, scheduler=scheduler
+                    ) as session:
+                        pooled = session.run(x)
+                    assert pooled.micro_batches == shards
+                    np.testing.assert_array_equal(
+                        pooled.logits,
+                        serial.logits,
+                        err_msg=f"workers={workers} shards={shards}",
+                    )
+
+    def test_seedless_session_beside_pooled_waves_keeps_its_bits(self, request_data):
+        """The caller's group never touches the live network's sampler
+        streams, so a seedless session sharing the engine with pooled
+        waves draws exactly what it draws alone."""
+        images, _ = request_data
+        alone_engine = make_small_engine()
+        with alone_engine.session() as session:
+            alone = [session.run(images[:16]).logits for _ in range(6)]
+
+        engine = make_small_engine()
+        got = []
+        turn = [threading.Event() for _ in range(6)]
+        done = [threading.Event() for _ in range(6)]
+
+        def seedless():
+            with engine.session() as session:
+                for i in range(6):
+                    turn[i].wait(timeout=60)
+                    got.append(session.run(images[:16]).logits)
+                    done[i].set()
+
+        with ShardParallelScheduler(workers=2) as scheduler:
+            scheduler.warm(engine.network)
+            thread = threading.Thread(target=seedless)
+            thread.start()
+            try:
+                for i in range(6):
+                    with engine.session(seed=i, scheduler=scheduler) as pooled:
+                        pooled.run(images)
+                    turn[i].set()
+                    done[i].wait(timeout=60)
+            finally:
+                for event in turn:
+                    event.set()
+                thread.join(timeout=60)
+        assert len(got) == len(alone)
+        for want, have in zip(alone, got):
+            np.testing.assert_array_equal(have, want)
 
 
 class TestShardPlan:

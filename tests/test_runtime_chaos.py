@@ -99,7 +99,9 @@ class TestWorkerCrashRecovery:
         requests = [request_data[:16], request_data[16:48]]
         reference = Session(small_engine, seed=7).run_many(requests)
         plan = FaultPlan(
-            [FaultSpec(site="worker.shard", action="kill", match={"shard": 1})]
+            # Shard 0: with 2 shards a wave, shard 1 is the caller's own
+            # group, which never visits the worker.shard site.
+            [FaultSpec(site="worker.shard", action="kill", match={"shard": 0})]
         )
         scheduler = ShardParallelScheduler(workers=2)
         try:
@@ -374,7 +376,9 @@ class TestNetworkChaos:
 
         reference = Session(small_engine, seed=123).run(request_data[:16])
         plan = FaultPlan(
-            [FaultSpec(site="worker.shard", action="kill", match={"shard": 1})]
+            # Shard 0: with 2 shards a wave, shard 1 is the caller's own
+            # group, which never visits the worker.shard site.
+            [FaultSpec(site="worker.shard", action="kill", match={"shard": 0})]
         )
         scheduler = ShardParallelScheduler(workers=2)
         try:

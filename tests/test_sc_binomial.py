@@ -14,7 +14,13 @@ Three layers of guarantees:
   (``forward_batched`` on rng vs a pre-drawn batch) up through the
   grouped shard executor (``run_stages_group`` vs per-shard serial
   ``run_stages``) for both group-vectorizable backends.
+
+Plus the quantile table's blocked build: the bytes of recorded tables
+are pinned by sha256, and its temporaries stay bounded.
 """
+
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +43,9 @@ from repro.runtime.plan import (
 )
 from repro.sc.binomial import (
     QUANT_BINS,
+    QUANT_BUILD_BLOCK,
     DrawBatch,
+    _quantile_rows,
     counts_by_quantile,
     counts_by_search,
     quantile_table,
@@ -138,6 +146,66 @@ class TestCountKernels:
 
 
 # ----------------------------------------------------------------------
+# The quantile table's blocked build
+# ----------------------------------------------------------------------
+#: sha256 of the standard burst layer's quantile table (288 -> 144,
+#: Cs = 36, L = 8: 10,512 laws), recorded with the one-shot build.
+BURST_TABLE_DIGEST = "affe6bc9bd8f31b8eef3a5ffc842025f903e572583217230f112dcf5f01df5ce"
+#: sha256 of the tables of ``trained_mlp(Cs=16, L=8, epochs=8)``'s
+#: compiled layers, recorded with the one-shot build.
+MLP_TABLE_DIGEST = "657a68eb4f11560eb257628b11d5c60816f750beeae5e468e780a28c098e90b0"
+
+
+def _burst_layer():
+    """The standard burst's crossbar layer (the kernel benchmarks' and
+    perfbench's ``build_engine`` weights)."""
+    rng = np.random.default_rng(0)
+    cfg = HardwareConfig(crossbar_size=36, window_bits=8)
+    return TiledLinearLayer(cfg, pm(rng, (288, 144)), seed=0)
+
+
+def _table_digest(layers, bits):
+    digest = hashlib.sha256()
+    for layer in layers:
+        table = layer._fused_sampler._count_quant_table(bits)
+        digest.update(f"{table.dtype.str}{table.shape}".encode())
+        digest.update(np.ascontiguousarray(table).tobytes())
+    return digest.hexdigest()
+
+
+class TestQuantileTableBuild:
+    def test_blocks_match_a_one_shot_build(self):
+        # A law count that is not a multiple of the block size.
+        cdf, _, _, _ = _laws(8, values=2 * QUANT_BUILD_BLOCK // 7 + 3, cols=7)
+        n = cdf.shape[-1] - 1
+        one_shot = _quantile_rows(cdf.reshape(-1, n + 1)[:, :n], QUANT_BINS)
+        np.testing.assert_array_equal(quantile_table(cdf, QUANT_BINS), one_shot)
+
+    def test_burst_table_bytes_unchanged(self):
+        assert _table_digest([_burst_layer()], 8) == BURST_TABLE_DIGEST
+
+    def test_reference_mlp_table_bytes_unchanged(self):
+        from repro.experiments import common
+
+        hardware = HardwareConfig(crossbar_size=16, gray_zone_ua=10.0, window_bits=8)
+        model, _, _, _ = common.trained_mlp(hardware, epochs=8)
+        network = Engine.from_model(model).network
+        assert _table_digest(network.tiled_layers, 8) == MLP_TABLE_DIGEST
+
+    def test_burst_table_build_memory_is_bounded(self):
+        cdf = _burst_layer()._fused_sampler._count_cdf_table(8)
+        assert cdf.shape == (73, 144, 9)
+        tracemalloc.start()
+        try:
+            quantile_table(cdf, QUANT_BINS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A one-shot build peaks at ~50 MB; the table itself is 2.7 MB.
+        assert peak < 12 * 2**20
+
+
+# ----------------------------------------------------------------------
 # Layer pass: forward_batched on rng vs a pre-drawn DrawBatch
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -229,6 +297,38 @@ class TestGroupExecutor:
             )
             np.testing.assert_array_equal(logits, want)
             assert len(telemetry) == len(serial_telemetry)
+
+    def test_repeated_groups_reuse_scratch_bit_identically(self, group_network):
+        """The kernel's scratch buffers carry nothing from one call to
+        the next, including across a call of another shape."""
+        network, x = group_network
+        strategy = get_backend("stochastic")
+        specs = [(101, 0, 7), (202, 7, 12), (303, 12, 20)]
+        first = run_stages_group(network, x, specs, strategy)
+        run_stages_group(network, x[:5], [(404, 0, 5)], strategy)
+        again = run_stages_group(network, x, specs, strategy)
+        for (a, _), (b, _) in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+
+    def test_conv_group_bit_identical_to_per_shard_serial(self):
+        """Conv stages lay each shard's ``rows * positions`` uniforms
+        side by side in the group's scratch buffer."""
+        from repro.mapping.compiler import compile_model
+        from repro.models.vgg import VggSmall
+
+        hw = HardwareConfig(crossbar_size=36, gray_zone_ua=10.0, window_bits=4)
+        model = VggSmall(image_size=16, width_multiplier=0.0625, hardware=hw, seed=0)
+        model.eval()
+        network = compile_model(model)
+        strategy = get_backend("stochastic")
+        assert group_vectorizable(network, strategy)
+        x = new_rng(5).standard_normal((6, 3, 16, 16))
+        specs = [(11, 0, 2), (22, 2, 3), (33, 3, 6)]
+        grouped = run_stages_group(network, x, specs, strategy)
+        for (seed, start, stop), (logits, _) in zip(specs, grouped):
+            rng = seed_shard(network, seed)
+            want = run_stages(network, x[start:stop], strategy, rng, [])
+            np.testing.assert_array_equal(logits, want)
 
     def test_string_backend_rejected(self, group_network):
         network, x = group_network
