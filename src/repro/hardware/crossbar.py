@@ -311,7 +311,6 @@ class CrossbarArray(RngMixin):
         v: np.ndarray,
         bits: int,
         u: Optional[np.ndarray] = None,
-        scratch: bool = False,
     ) -> np.ndarray:
         """Window counts for precomputed integer column values ``v``.
 
@@ -325,9 +324,8 @@ class CrossbarArray(RngMixin):
         :mod:`repro.sc.binomial`. The count dtype depends on the path
         taken (``uint8`` from the quantile table, ``intp`` from the
         binary search, ``int64`` from ``Generator.binomial``).
-        ``scratch`` builds the quantile path's temporaries in
-        per-thread reused buffers
-        (:func:`~repro.sc.binomial.scratch_array`).
+        The quantile path builds its temporaries in per-thread reused
+        buffers (:func:`~repro.sc.binomial.scratch_array`).
         """
         cdf = self._count_cdf_table(bits)
         if cdf is None:
@@ -344,11 +342,11 @@ class CrossbarArray(RngMixin):
         # row's CDF. The quantile kernel builds its gather index in idx's
         # dtype, and its table has fewer than 2**31 entries: int32 there.
         quant = self._count_quant_table(bits)
-        if quant is not None and scratch:
+        if quant is None:
+            idx = v.astype(np.intp)
+        else:
             idx = scratch_array("idx", v.shape, np.int32)
             np.copyto(idx, v, casting="unsafe")
-        else:
-            idx = v.astype(np.intp if quant is None else np.int32)
         idx += self.rows
         np.clip(idx, 0, 2 * self.rows, out=idx)
         if quant is None:
@@ -357,7 +355,7 @@ class CrossbarArray(RngMixin):
             return counts_by_search(cdf, idx, u, self._col_ids)
         if u is None:
             u = self.rng.random(idx.shape)
-        return counts_by_quantile(quant, cdf, idx, u, self._col_ids, scratch=scratch)
+        return counts_by_quantile(quant, cdf, idx, u, self._col_ids)
 
     def ideal_sign_output(self, activations) -> np.ndarray:
         """Noise-free reference: sign of the column value vs threshold."""

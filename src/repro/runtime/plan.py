@@ -497,7 +497,7 @@ def run_stages_group(
                 block[...] = piece
             lo = hi
         counts = layer._fused_sampler._sample_counts_for_values(
-            values, layer.config.window_bits, u=u, scratch=True
+            values, layer.config.window_bits, u=u
         )
         layer.n_passes += layer.n_row_tiles * layer.n_col_tiles * len(specs)
         layer.n_inferences += flat.shape[0]

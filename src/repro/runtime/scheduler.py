@@ -46,7 +46,6 @@ import os
 import sys
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -332,34 +331,27 @@ def _worker_warmup() -> int:
     return os.getpid()
 
 
-def _run_group_local(
-    slab: np.ndarray, specs, network=None, strategy=None
-) -> List[ShardResult]:
-    """Execute one contiguous shard *group*.
+def _run_group_local(slab: np.ndarray, specs) -> List[ShardResult]:
+    """Execute one contiguous shard *group* in this worker.
 
     ``specs`` is a tuple of ``(seed, start, stop, index)`` rows relative
-    to ``slab``. In a worker (``network`` None) the group runs on the
-    worker's own network copy and visits the ``worker.shard`` fault
-    site once per shard. The scheduler's calling thread passes its own
-    live ``network`` and inner ``strategy`` instead, and its group never
-    visits that site: a ``kill`` there is ``os._exit``, which would take
-    the serving process down.
-
+    to ``slab``. Every shard visits the ``worker.shard`` fault site.
     When the inner strategy's draw chain can be reproduced externally
     (:func:`~repro.runtime.plan.group_vectorizable`), the whole group
     runs stage-major through :func:`~repro.runtime.plan.run_stages_group`
     — one numpy pass per stage over all the group's rows, per-shard
     uniforms drawn in shard order — which is bit-identical to the
-    per-shard loop and leaves the network's own sampler streams alone.
-    Otherwise (bit-level backends) the group falls back to that loop,
-    which reseeds the network per shard: the caller holds the engine's
-    execution lock around it.
+    per-shard loop it replaces. Otherwise (bit-level backends, seedless
+    shards) the group falls back to that loop, which reseeds the
+    worker's network copy per shard. The scheduler's calling thread
+    runs its own group through ``run_stages_group`` directly, and only
+    when the group is vectorizable (see
+    :meth:`ShardParallelScheduler._run_pool_once`).
     """
-    if network is None:
-        network = _WORKER_STATE["network"]
-        strategy = _WORKER_STATE["strategy"]
-        for _seed, start, stop, index in specs:
-            faults.fault_point("worker.shard", shard=index, rows=int(stop - start))
+    network = _WORKER_STATE["network"]
+    strategy = _WORKER_STATE["strategy"]
+    for _seed, start, stop, index in specs:
+        faults.fault_point("worker.shard", shard=index, rows=int(stop - start))
     slab = np.asarray(slab, dtype=np.float64)
     if all(s[0] is not None for s in specs) and group_vectorizable(network, strategy):
         return run_stages_group(
@@ -493,11 +485,13 @@ class ShardParallelScheduler:
     A wave is split into ``workers`` contiguous shard groups. With
     ``workers >= 2`` the pool holds ``workers - 1`` processes: the
     calling thread sends them the first ``workers - 1`` groups, runs the
-    *last* group itself on its own network (see :func:`_run_group_local`)
-    and then gathers the rest, so no core sits idle waiting. The last
-    group is the caller's so that the low shard indices fault plans
-    target still land on workers. With ``workers=1`` the single group
-    runs on one worker process.
+    *last* group itself on its own network through the vectorized group
+    executor, and then gathers the rest, so no core sits idle waiting.
+    The last group is the caller's so that the low shard indices fault
+    plans target still land on workers. A wave the group executor
+    cannot take (a bit-level inner backend, seedless shards) is split
+    over the worker processes alone. With ``workers=1`` the single
+    group runs on one worker process.
 
     Parameters
     ----------
@@ -598,11 +592,10 @@ class ShardParallelScheduler:
         the recovery policy; per-shard results in plan order.
         ``strategy`` is accepted for interface parity but unused —
         workers and the caller's group resolve the scheduler's own
-        ``inner`` backend. ``exec_lock`` is held around the caller's
-        group and the serial rescue; ``rng`` is only touched by the
-        rescue. ``deadline_s`` (default: the policy's) bounds the wall
-        time of the pool attempts; a blown deadline abandons the
-        stragglers and re-executes serially."""
+        ``inner`` backend. ``exec_lock``/``rng`` are only touched by the
+        serial rescue path. ``deadline_s`` (default: the policy's)
+        bounds the wall time of the pool attempts; a blown deadline
+        abandons the stragglers and re-executes serially."""
         self._recovery_local.log = None
         if plan.batch_size == 0:
             # N=0 draws nothing, so skip the reseed too: the shared
@@ -628,9 +621,7 @@ class ShardParallelScheduler:
                 network, x, plan, exec_lock, rng
             )
         outputs, log = run_with_recovery(
-            lambda remaining: self._run_pool_once(
-                network, x, plan, remaining, exec_lock
-            ),
+            lambda remaining: self._run_pool_once(network, x, plan, remaining),
             policy=self.recovery,
             deadline_s=deadline_s,
             fallback=fallback,
@@ -645,7 +636,6 @@ class ShardParallelScheduler:
         x: np.ndarray,
         plan,
         remaining: Optional[float],
-        exec_lock=None,
     ) -> List[ShardResult]:
         """One pool attempt: publish, fan out *groups*, run the caller's
         group, gather under the remaining deadline budget.
@@ -653,29 +643,43 @@ class ShardParallelScheduler:
         Shards are batched into at most ``workers`` contiguous groups —
         one pool submission (and one shm ticket) per group instead of
         one per shard, so the per-task dispatch constant is paid once
-        per worker per wave. With ``workers >= 2`` the last group is the
-        caller's own (``run_own``) and only the rows before it are
-        published. Every group executes stage-major and
+        per worker per wave. Every group executes stage-major and
         vectorized when the inner backend allows it (see
         :func:`_run_group_local`), bit-identical to per-shard execution
         either way.
+
+        With ``workers >= 2`` and a vectorizable wave
+        (:func:`~repro.runtime.plan.group_vectorizable`), the wave is
+        split ``workers`` ways and the last group is the caller's own
+        (``run_own``): its rows come straight from ``x`` (only the rows
+        before it are published) and it runs through
+        :func:`~repro.runtime.plan.run_stages_group` on the live
+        ``network``, which draws from per-shard generators and leaves
+        the network's own sampler streams alone, so no lock is taken.
+        Any other wave (a bit-level inner backend, seedless shards)
+        would reseed the live layers per shard, so it is split over the
+        worker processes only.
         """
         pool = self._ensure_pool(network)
-        groups = _split_groups(plan.shards, self.workers)
-        own = groups.pop() if self.workers > 1 else None
+        strategy = get_backend(self.inner)
+        caller = self.workers > 1 and group_vectorizable(
+            network, strategy, plan.shards
+        )
+        groups = _split_groups(
+            plan.shards, self.workers if caller else self._processes
+        )
+        own = groups.pop() if caller else None
 
         def run_own() -> List[ShardResult]:
-            # The caller's share: rows straight from ``x`` (no shm
-            # ticket), its own network and inner backend, under
-            # ``exec_lock`` because the per-shard fallback reseeds the
-            # live layers.
             if own is None:
                 return []
             start, stop, specs = _group_rows(own)
-            with exec_lock if exec_lock is not None else nullcontext():
-                return _run_group_local(
-                    x[start:stop], specs, network, get_backend(self.inner)
-                )
+            return run_stages_group(
+                network,
+                np.asarray(x[start:stop], dtype=np.float64),
+                [(seed, lo, hi) for seed, lo, hi, _index in specs],
+                strategy,
+            )
 
         lease = None
         if self.transport == "shm" and groups:
@@ -993,8 +997,9 @@ class ShardParallelScheduler:
 
         While the workers warm up, the calling thread builds the sampler
         tables of its own ``network`` for the group it runs in every
-        wave (``workers >= 2``). It runs no forward pass there: that
-        would advance the live streams seedless sessions continue.
+        vectorizable wave (``workers >= 2``). It runs no forward pass
+        there: that would advance the live streams seedless sessions
+        continue.
 
         On a fork-context pool, warming also activates the *express
         lanes*: every worker parks on a dedicated duplex pipe, and

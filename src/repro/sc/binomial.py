@@ -149,7 +149,6 @@ def counts_by_quantile(
     idx: np.ndarray,
     u: np.ndarray,
     col_ids: np.ndarray,
-    scratch: bool = False,
 ) -> np.ndarray:
     """Exact Binomial counts: one gather against the quantized table.
 
@@ -176,31 +175,32 @@ def counts_by_quantile(
     power-of-two scaling, so it cannot round up to ``M``) — no clamp
     pass is spent on it.
 
-    With ``scratch`` the gather index, the bin index and the table
-    entries live in this thread's :func:`scratch_array` buffers instead
-    of fresh arrays; the returned counts are always a fresh array.
+    The gather index, the bin index and the table entries live in this
+    thread's :func:`scratch_array` buffers; the returned counts are a
+    fresh array.
     """
     n = cdf.shape[-1] - 1
     cols = col_ids.shape[-1]
     m_bins = quant.shape[-1]
-
-    def buffer(tag: str, dtype) -> np.ndarray:
-        if scratch:
-            return scratch_array(tag, idx.shape, dtype)
-        return np.empty(idx.shape, dtype=dtype)
-
-    law = np.multiply(idx, cols * m_bins, out=buffer("law", idx.dtype))
+    law = np.multiply(
+        idx, cols * m_bins, out=scratch_array("law", idx.shape, idx.dtype)
+    )
     law += (col_ids * m_bins).astype(law.dtype, copy=False)
     # The float64 product is truncated on output, as ``astype`` would,
     # without a float64 temporary.
-    law += np.multiply(u, m_bins, out=buffer("bin", law.dtype), casting="unsafe")
+    law += np.multiply(
+        u, m_bins, out=scratch_array("bin", idx.shape, law.dtype), casting="unsafe"
+    )
     # np.take, not fancy indexing: the latter converts an int32 index
     # to intp first, which costs more than the narrow passes save. With
     # ``out`` the default "raise" mode gathers into a buffer and copies;
     # the index is in range by construction, so "clip" gathers straight
     # into ``out``.
     entry = np.take(
-        quant.reshape(-1), law, out=buffer("entry", quant.dtype), mode="clip"
+        quant.reshape(-1),
+        law,
+        out=scratch_array("entry", idx.shape, quant.dtype),
+        mode="clip",
     )
     counts = entry & 0x7F
     stepped = np.flatnonzero(entry >= 0x80)

@@ -168,7 +168,9 @@ class TestCallerGroup:
             assert scheduler.workers <= workers
             assert len(children) == max(1, scheduler.workers - 1)
 
-    @pytest.mark.parametrize("inner", ["stochastic", "stochastic-packed"])
+    @pytest.mark.parametrize(
+        "inner", ["stochastic", "stochastic-batched", "stochastic-packed"]
+    )
     @pytest.mark.parametrize("warm", [True, False], ids=["lanes", "executor"])
     def test_pooled_logits_equal_serial(self, small_engine, request_data, inner, warm):
         images, _ = request_data
@@ -190,14 +192,20 @@ class TestCallerGroup:
                         err_msg=f"workers={workers} shards={shards}",
                     )
 
-    def test_seedless_session_beside_pooled_waves_keeps_its_bits(self, request_data):
-        """The caller's group never touches the live network's sampler
-        streams, so a seedless session sharing the engine with pooled
-        waves draws exactly what it draws alone."""
+    @pytest.mark.parametrize("inner", ["stochastic", "stochastic-packed"])
+    def test_seedless_session_beside_pooled_waves_keeps_its_bits(
+        self, request_data, inner
+    ):
+        """Pooled waves never touch the live network's sampler streams
+        (the caller's group draws from per-shard generators; a bit-level
+        inner backend's waves stay on the workers), so a seedless
+        session sharing the engine draws exactly what it draws alone."""
         images, _ = request_data
         alone_engine = make_small_engine()
         with alone_engine.session() as session:
-            alone = [session.run(images[:16]).logits for _ in range(6)]
+            alone = [
+                session.run(images[:16], backend=inner).logits for _ in range(6)
+            ]
 
         engine = make_small_engine()
         got = []
@@ -208,10 +216,10 @@ class TestCallerGroup:
             with engine.session() as session:
                 for i in range(6):
                     turn[i].wait(timeout=60)
-                    got.append(session.run(images[:16]).logits)
+                    got.append(session.run(images[:16], backend=inner).logits)
                     done[i].set()
 
-        with ShardParallelScheduler(workers=2) as scheduler:
+        with ShardParallelScheduler(workers=2, inner=inner) as scheduler:
             scheduler.warm(engine.network)
             thread = threading.Thread(target=seedless)
             thread.start()

@@ -310,9 +310,12 @@ class TestGroupExecutor:
         for (a, _), (b, _) in zip(first, again):
             np.testing.assert_array_equal(a, b)
 
-    def test_conv_group_bit_identical_to_per_shard_serial(self):
+    @pytest.mark.parametrize("backend", ["stochastic", "stochastic-batched"])
+    def test_conv_group_bit_identical_to_per_shard_serial(self, backend):
         """Conv stages lay each shard's ``rows * positions`` uniforms
-        side by side in the group's scratch buffer."""
+        side by side in the group's scratch buffer; across several
+        crossbar stages, the batched backend's consecutive fills are the
+        slices of its one per-shard draw."""
         from repro.mapping.compiler import compile_model
         from repro.models.vgg import VggSmall
 
@@ -320,7 +323,7 @@ class TestGroupExecutor:
         model = VggSmall(image_size=16, width_multiplier=0.0625, hardware=hw, seed=0)
         model.eval()
         network = compile_model(model)
-        strategy = get_backend("stochastic")
+        strategy = get_backend(backend)
         assert group_vectorizable(network, strategy)
         x = new_rng(5).standard_normal((6, 3, 16, 16))
         specs = [(11, 0, 2), (22, 2, 3), (33, 3, 6)]
